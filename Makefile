@@ -69,8 +69,6 @@ fuzz:
 
 # bench sweeps the tracked benchmark suites and records the results as
 # JSON so the performance trajectory is archived over time:
-#   - BENCH_parallel.json: the parallel epoch scheduler (serial vs
-#     worker-pool convergence on path-vector, mincost, and BGP)
 #   - BENCH_serve.json: nettrailsd query serving (N concurrent HTTP
 #     clients against a live 8-AS BGP run under snapshot isolation)
 #   - BENCH_querycache.json: the per-version sub-proof cache (cold
@@ -91,8 +89,6 @@ fuzz:
 #     fsync at delta 1/10/100, cold any-epoch materialization from
 #     sealed segments, recovery over a 10k-epoch log)
 bench: bench-publish bench-store
-	$(GO) test -run '^$$' -bench 'BenchmarkParallel' -benchtime 3x . | tee bench_parallel.out
-	$(GO) run ./tools/benchjson < bench_parallel.out > BENCH_parallel.json
 	$(GO) test -run '^$$' -bench 'BenchmarkServeQueries' -benchtime 3x . | tee bench_serve.out
 	$(GO) run ./tools/benchjson < bench_serve.out > BENCH_serve.json
 	$(GO) test -run '^$$' -bench 'BenchmarkQueryCache' -benchtime 20x . | tee bench_querycache.out
@@ -102,7 +98,7 @@ bench: bench-publish bench-store
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedQuery' -benchtime 20x . | tee bench_sharded.out
 	$(GO) run ./tools/benchjson < bench_sharded.out > BENCH_sharded.json
 	$(GO) run ./cmd/nettrailssoak -hijack-nodes 48 -clients 8 -queries 2000 -churn 200 -out BENCH_scenarios.json
-	@rm -f bench_parallel.out bench_serve.out bench_querycache.out bench_api.out bench_sharded.out
+	@rm -f bench_serve.out bench_querycache.out bench_api.out bench_sharded.out
 
 # bench-publish records just the publish-path sweep (the cheap one to
 # rerun while touching the snapshot pipeline).

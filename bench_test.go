@@ -12,7 +12,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -298,112 +297,6 @@ func benchAblation(b *testing.B, provenance bool) {
 
 func BenchmarkAblationProvenanceOff(b *testing.B) { benchAblation(b, false) }
 func BenchmarkAblationProvenanceOn(b *testing.B)  { benchAblation(b, true) }
-
-// BenchmarkParallelPathVector (E9): the epoch scheduler's speedup on
-// protocol convergence — PATHVECTOR (the heaviest demo protocol: path
-// lists grow with hop count) on a 16-node grid, serial vs parallel
-// worker pools. State is identical at every parallelism level; only
-// wall-clock and message counts change.
-func benchParallelConvergence(b *testing.B, program string, n int, edges []protocols.Edge, parallelism int) {
-	b.Helper()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Engine construction (parse/analyze/localize/compile) is
-		// identical at every parallelism level; keep it out of the
-		// timed region so ns/op compares only the convergence work the
-		// sweep is about.
-		b.StopTimer()
-		eng, err := engine.New(program, nettrails.NodeNames(n), engine.Options{
-			Seed: 1, Provenance: true, Parallelism: parallelism,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		for _, e := range edges {
-			if err := eng.AddBiLink(e.A, e.B, e.Cost); err != nil {
-				b.Fatal(err)
-			}
-		}
-		eng.RunQuiescent()
-	}
-}
-
-func BenchmarkParallelPathVector(b *testing.B) {
-	edges := protocols.GridTopology(4, 4, 1)
-	for _, p := range parallelismLevels() {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			benchParallelConvergence(b, nettrails.PathVector, 16, edges, p)
-		})
-	}
-}
-
-func BenchmarkParallelMincost(b *testing.B) {
-	edges := protocols.GridTopology(5, 5, 1)
-	for _, p := range parallelismLevels() {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			benchParallelConvergence(b, nettrails.MinCost, 25, edges, p)
-		})
-	}
-}
-
-// BenchmarkParallelBGP (E9): the legacy-application workload under the
-// epoch scheduler — an 8-AS deployment replaying a 100-event
-// RouteViews-style trace, serial vs parallel.
-func BenchmarkParallelBGP(b *testing.B) {
-	ases := make([]string, 8)
-	for i := range ases {
-		ases[i] = fmt.Sprintf("AS%d", i+1)
-	}
-	links := []nettrails.ASLink{
-		{A: "AS1", B: "AS2", Rel: nettrails.PeerOf},
-		{A: "AS1", B: "AS3", Rel: nettrails.CustomerOf},
-		{A: "AS2", B: "AS4", Rel: nettrails.CustomerOf},
-		{A: "AS3", B: "AS5", Rel: nettrails.CustomerOf},
-		{A: "AS4", B: "AS6", Rel: nettrails.CustomerOf},
-		{A: "AS5", B: "AS7", Rel: nettrails.CustomerOf},
-		{A: "AS6", B: "AS8", Rel: nettrails.CustomerOf},
-		{A: "AS7", B: "AS8", Rel: nettrails.PeerOf},
-	}
-	// The trace is deterministic for a fixed seed: generate it once,
-	// outside every timed region.
-	setup, err := nettrails.NewBGPDeployment(ases, links, nettrails.Config{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	events, err := setup.GenerateTrace(100, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range parallelismLevels() {
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				d, err := nettrails.NewBGPDeployment(ases, links, nettrails.Config{
-					Seed: 1, Parallelism: p,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if err := d.ReplayTrace(events); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// parallelismLevels returns the worker counts the parallel benchmarks
-// sweep: serial, a small pool, and the machine's full width.
-func parallelismLevels() []int {
-	levels := []int{1, 4}
-	if n := runtime.NumCPU(); n > 4 {
-		levels = append(levels, n)
-	}
-	return levels
-}
 
 // BenchmarkServeQueries (E10): the query-serving workload — N
 // concurrent HTTP clients issuing provenance queries against a live

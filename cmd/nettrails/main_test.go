@@ -36,43 +36,6 @@ func TestSmokeQuickstartLineage(t *testing.T) {
 	}
 }
 
-// TestSmokeParallelismFlagMatchesSerial runs the same scenario with
-// -parallelism 1 and -parallelism 8 and requires identical protocol
-// state (the CLI face of the determinism guarantee). Only the traffic
-// line may differ: the parallel scheduler coalesces per-link delta
-// batches, so it sends fewer (but byte-equivalent) messages.
-func TestSmokeParallelismFlagMatchesSerial(t *testing.T) {
-	bin := buildBinary(t)
-	run := func(par string) (tables, traffic string) {
-		out, err := exec.Command(bin,
-			"-protocol", "pathvector", "-topology", "ring", "-nodes", "8",
-			"-parallelism", par, "-tables", "n1").CombinedOutput()
-		if err != nil {
-			t.Fatalf("nettrails -parallelism %s: %v\n%s", par, err, out)
-		}
-		var rest []string
-		for _, line := range strings.Split(string(out), "\n") {
-			if strings.HasPrefix(line, "execution traffic:") {
-				traffic = line
-				continue
-			}
-			rest = append(rest, line)
-		}
-		return strings.Join(rest, "\n"), traffic
-	}
-	serial, serialTraffic := run("1")
-	parallel, parallelTraffic := run("8")
-	if serial != parallel {
-		t.Errorf("state diverged between -parallelism 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
-	if !strings.Contains(serial, "table bestpath") {
-		t.Errorf("tables output missing bestpath:\n%s", serial)
-	}
-	if serialTraffic == "" || parallelTraffic == "" {
-		t.Fatalf("traffic lines missing: %q, %q", serialTraffic, parallelTraffic)
-	}
-}
-
 // TestSmokeTextQuery exercises the -q textual query path.
 func TestSmokeTextQuery(t *testing.T) {
 	bin := buildBinary(t)

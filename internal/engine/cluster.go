@@ -157,8 +157,8 @@ func (e *Engine) Owns(addr string) bool {
 }
 
 // SetDistObserver installs the distributed snapshot observer (nil
-// detaches). Unlike SetEpochObserver it is only read by the drain on
-// the scheduler thread; install it before the first clustered drain.
+// detaches). Unlike SetEpochObserver it is only read by the drain
+// itself; install it before the first clustered drain.
 func (e *Engine) SetDistObserver(o DistObserver) {
 	if e.cluster == nil {
 		panic("engine: SetDistObserver on non-clustered engine")
@@ -179,7 +179,7 @@ func (e *Engine) ClusterStats() ClusterStats {
 // undecodable peer data panic with *ClusterError — a distributed drain
 // that cannot complete must fail loudly, never return a half-advanced
 // engine.
-func (e *Engine) clusterDrain(pool *workerPool) {
+func (e *Engine) clusterDrain() {
 	c := e.cluster
 	if len(e.nodes) != c.nodeCount {
 		panic(&ClusterError{Op: "drain", Err: fmt.Errorf("node set changed after EnableCluster (%d -> %d)", c.nodeCount, len(e.nodes))})
@@ -253,7 +253,7 @@ func (e *Engine) clusterDrain(pool *workerPool) {
 		e.Net.AdvanceTo(cut)
 		if hasNext && next == cut {
 			if ep, ok := e.Net.NextEpoch(); ok {
-				e.executeEpoch(ep.Events, pool)
+				e.executeEpoch(ep.Events)
 			}
 		}
 	}

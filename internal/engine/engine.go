@@ -38,10 +38,10 @@ type DeltaMsg struct {
 	HasProv bool
 }
 
-// DeltaBatch is the payload of a coalesced delta message: every delta
-// one epoch emitted over a single src→dst link, merged by the parallel
-// scheduler into one wire message (the batch rides under KindDelta).
-// Receivers apply the entries in emission order.
+// DeltaBatch is the payload of a coalesced delta message: consecutive
+// deltas one run of an epoch emitted over a single src→dst link, merged
+// by the epoch scheduler into one wire message (the batch rides under
+// KindDelta). Receivers apply the entries in emission order.
 type DeltaBatch struct {
 	Msgs []DeltaMsg
 }
@@ -52,20 +52,11 @@ type Options struct {
 	LinkLatency simnet.Time
 	// Provenance enables ExSPAN maintenance (on by default via New).
 	Provenance bool
-	// Parallelism is the number of worker goroutines RunQuiescent uses
-	// to deliver each virtual-time epoch of tuple deltas. A worker
-	// drives one destination node at a time, preserving the per-node
-	// serialization contract of eval.Runtime; sends emitted during a
-	// parallel epoch are merged back into the event queue in
-	// deterministic schedule order, so a fixed seed converges to the
-	// same per-node state for every parallelism level. Values <= 1 run
-	// the classic serial discrete-event loop.
-	Parallelism int
 }
 
 // DefaultOptions returns the standard configuration.
 func DefaultOptions() Options {
-	return Options{Seed: 1, LinkLatency: simnet.Millisecond, Provenance: true, Parallelism: 1}
+	return Options{Seed: 1, LinkLatency: simnet.Millisecond, Provenance: true}
 }
 
 // Node is one simulated NetTrails node: an NDlog runtime plus a
@@ -80,22 +71,17 @@ type Node struct {
 	// detected); softLive marks tuples currently base-inserted.
 	softGen  map[rel.ID]uint64
 	softLive map[rel.ID]bool
-	// cap, when non-nil, redirects this node's outbound sends into the
-	// worker-local buffer of the parallel epoch scheduler. It is only
-	// set by the single worker driving this node during an epoch.
-	cap *sendCapture
 	// activity counts events that may have touched this node's state:
 	// dispatched messages, fact inserts/deletes, and out-of-band
 	// writes reported via Touch. An unchanged activity value between
 	// epoch cuts proves the node's state, provenance, and traffic
 	// counters are all untouched, which lets the snapshot publisher
 	// skip the node without the per-table precise checks. It is
-	// atomic because observation taps may Touch a *remote* node (the
-	// BGP proxy records transmission provenance at the sender) while
-	// that node's own worker is dispatching. Activity values may
-	// differ across scheduler parallelism arms (message batching
-	// differs); they gate local work only and never reach any
-	// published output.
+	// atomic so observation taps may Touch a *remote* node (the BGP
+	// proxy records transmission provenance at the sender) without
+	// assuming which goroutine drives the engine. Activity values
+	// depend on message batching, so they gate local work only and
+	// never reach any published output.
 	activity atomic.Uint64
 }
 
@@ -125,20 +111,25 @@ type Engine struct {
 	// OnEvalError observes runtime evaluation errors (default: panic,
 	// because silent evaluation errors make experiments lie).
 	OnEvalError func(addr string, err error)
-	// errMu serializes OnEvalError calls: evaluation errors can surface
-	// concurrently from the epoch scheduler's workers.
+	// errMu serializes OnEvalError calls, so a handler needs no locking
+	// of its own whichever goroutine drives the engine.
 	errMu sync.Mutex
 	// draining marks an active epoch-scheduler drain. Re-entrant
 	// RunQuiescent calls (a service handler inserting facts) return
 	// immediately: the outer drain still runs to quiescence, and
-	// deferring the new events keeps the epoch schedule identical to
-	// the serial loop's, which would also finish the current instant's
-	// events before the new ones.
+	// deferring the new events keeps the epoch schedule identical to a
+	// plain discrete-event loop's (simnet.Network.Run), which would also
+	// finish the current instant's events before the new ones.
 	draining bool
-	// epochObserver, when set, runs on the scheduler thread after each
-	// fully-delivered virtual-time epoch (every node has consumed every
-	// event of the instant, no worker is active), which is exactly when
-	// global state forms a consistent cut. Snapshot publishers hook
+	// capturing is set while the epoch scheduler delivers a run of
+	// tuple deltas; netSend then appends to captured, which the
+	// scheduler coalesces and enqueues when the run finishes.
+	capturing bool
+	captured  []simnet.Message
+	// epochObserver, when set, runs on the draining goroutine after
+	// each fully-delivered virtual-time epoch (every node has consumed
+	// every event of the instant), which is exactly when global state
+	// forms a consistent cut. Snapshot publishers hook
 	// here; see SetEpochObserver. Held atomically so detaching from
 	// another goroutine (e.g. server shutdown) cannot race an active
 	// drain's reads.
@@ -397,37 +388,22 @@ func (e *Engine) LoadProgramFacts() error {
 	return nil
 }
 
-// RunQuiescent drains all pending network events. With
-// Options.Parallelism > 1 — or whenever an epoch observer is attached —
-// it runs the epoch scheduler, delivering each virtual instant's tuple
-// deltas concurrently across destination nodes; otherwise it runs the
-// classic serial discrete-event loop. Both schedules converge to the
-// same state for the same seed.
+// RunQuiescent drains all pending network events through the epoch
+// scheduler, one virtual instant at a time, on the calling goroutine.
+// A clustered engine drains through the cross-process round protocol.
 func (e *Engine) RunQuiescent() {
-	if e.opts.Parallelism > 1 || e.epochObserver.Load() != nil || e.cluster != nil {
-		if e.draining {
-			return // re-entrant: the active drain reaches quiescence
-		}
-		workers := e.opts.Parallelism
-		if workers < 1 {
-			workers = 1
-		}
-		e.runEpochs(workers)
-		return
+	if e.draining {
+		return // re-entrant: the active drain reaches quiescence
 	}
-	e.Net.Run(0)
+	e.runEpochs()
 }
 
-// SetEpochObserver installs fn to run on the scheduler thread after
+// SetEpochObserver installs fn to run on the draining goroutine after
 // every fully-delivered epoch, i.e. at each consistent virtual instant.
-// While an observer is set, RunQuiescent always drains through the
-// epoch scheduler (even at Parallelism <= 1) so the observer fires at
-// true epoch granularity; per-node state is identical either way, only
-// per-link message coalescing differs. fn must not re-enter the
-// engine's event loop (RunQuiescent from fn is a no-op by design) and
-// must confine itself to reading engine state. A nil fn detaches;
-// attach/detach may happen from any goroutine (the slot is atomic),
-// though fn itself only ever runs on the scheduler thread.
+// fn must not re-enter the engine's event loop (RunQuiescent from fn is
+// a no-op by design) and must confine itself to reading engine state.
+// A nil fn detaches; attach/detach may happen from any goroutine (the
+// slot is atomic), though fn itself only ever runs inside a drain.
 func (e *Engine) SetEpochObserver(fn func()) {
 	if fn == nil {
 		e.epochObserver.Store(nil)

@@ -1,11 +1,10 @@
-// Determinism and correctness tests for the parallel epoch scheduler.
-// They live in the external test package so they can reuse the demo
-// protocols and topology generators (protocols imports engine).
+// Determinism and correctness tests for the epoch scheduler. They live
+// in the external test package so they can reuse the demo protocols and
+// topology generators (protocols imports engine).
 package engine_test
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -19,20 +18,25 @@ func tupleAddr2(relName, a, b string) rel.Tuple {
 	return rel.NewTuple(relName, rel.Addr(a), rel.Addr(b))
 }
 
-// buildConverged runs a protocol to convergence on a topology at the
-// given parallelism, optionally exercising churn (a link failure and
-// repair mid-run, the paper's Figure 3 scenario).
-func buildConverged(t testing.TB, program string, n int, edges []protocols.Edge, parallelism int, churn bool) *engine.Engine {
+func newSchedEngine(t testing.TB, program string, n int) *engine.Engine {
 	t.Helper()
 	eng, err := engine.New(program, protocols.NodeNames(n), engine.Options{
 		Seed:        7,
 		LinkLatency: simnet.Millisecond,
 		Provenance:  true,
-		Parallelism: parallelism,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eng
+}
+
+// buildConverged runs a protocol to convergence on a topology through
+// RunQuiescent, optionally exercising churn (a link failure and repair
+// mid-run, the paper's Figure 3 scenario).
+func buildConverged(t testing.TB, program string, n int, edges []protocols.Edge, churn bool) *engine.Engine {
+	t.Helper()
+	eng := newSchedEngine(t, program, n)
 	for _, e := range edges {
 		if err := eng.AddBiLink(e.A, e.B, e.Cost); err != nil {
 			t.Fatal(err)
@@ -48,6 +52,48 @@ func buildConverged(t testing.TB, program string, n int, edges []protocols.Edge,
 		}
 	}
 	eng.RunQuiescent()
+	return eng
+}
+
+// buildReference drives the same script as buildConverged without the
+// epoch scheduler: node-level fact changes, direct simnet link edits,
+// and the plain discrete-event loop (Net.Run) after every step. It
+// sends one message per delta, with no coalescing.
+func buildReference(t testing.TB, program string, n int, edges []protocols.Edge, churn bool) *engine.Engine {
+	t.Helper()
+	eng := newSchedEngine(t, program, n)
+	link := func(insert bool, a, b string, cost int64) {
+		node, _ := eng.Node(a)
+		tup := rel.NewTuple("link", rel.Addr(a), rel.Addr(b), rel.Int(cost))
+		var err error
+		if insert {
+			err = node.InsertFact(tup)
+		} else {
+			err = node.DeleteFact(tup)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Net.Run(0)
+	}
+	up := func(e protocols.Edge) {
+		if _, err := eng.Net.Connect(e.A, e.B, simnet.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		link(true, e.A, e.B, e.Cost)
+		link(true, e.B, e.A, e.Cost)
+	}
+	for _, e := range edges {
+		up(e)
+	}
+	if churn {
+		mid := edges[len(edges)/2]
+		link(false, mid.A, mid.B, mid.Cost)
+		link(false, mid.B, mid.A, mid.Cost)
+		eng.Net.SetLinkUp(mid.A, mid.B, false)
+		up(mid)
+	}
+	eng.Net.Run(0)
 	return eng
 }
 
@@ -72,116 +118,90 @@ func fingerprint(t testing.TB, e *engine.Engine) map[string]string {
 	return out
 }
 
-func requireIdentical(t *testing.T, serial, parallel *engine.Engine) {
+func requireIdentical(t *testing.T, ref, got *engine.Engine) {
 	t.Helper()
-	sf, pf := fingerprint(t, serial), fingerprint(t, parallel)
-	if len(sf) != len(pf) {
-		t.Fatalf("node sets differ: %d vs %d", len(sf), len(pf))
+	rf, gf := fingerprint(t, ref), fingerprint(t, got)
+	if len(rf) != len(gf) {
+		t.Fatalf("node sets differ: %d vs %d", len(rf), len(gf))
 	}
-	for addr, want := range sf {
-		if got := pf[addr]; got != want {
-			t.Errorf("node %s diverged between serial and parallel runs:\nserial:\n%s\nparallel:\n%s", addr, want, got)
+	for addr, want := range rf {
+		if g := gf[addr]; g != want {
+			t.Errorf("node %s diverged from the reference run:\nreference:\n%s\nscheduled:\n%s", addr, want, g)
 		}
 	}
 }
 
-// TestParallelDeterminism is the determinism regression required of
-// the epoch scheduler: same seed, parallelism 1 vs N must produce
-// identical per-node snapshots and provenance-store contents, across
+// schedCases are the protocol/topology/churn scripts the scheduler
+// tests replay through both RunQuiescent and the reference loop.
+var schedCases = []struct {
+	name    string
+	program string
+	n       int
+	edges   []protocols.Edge
+	churn   bool
+}{
+	{"mincost-grid16", protocols.MinCost, 16, protocols.GridTopology(4, 4, 1), false},
+	{"mincost-grid16-churn", protocols.MinCost, 16, protocols.GridTopology(4, 4, 1), true},
+	{"pathvector-ring8", protocols.PathVector, 8, protocols.RingTopology(8, 1), false},
+	{"pathvector-ring8-churn", protocols.PathVector, 8, protocols.RingTopology(8, 1), true},
+	{"distvector-line8", protocols.DistanceVector, 8, protocols.LineTopology(8, 1), false},
+}
+
+// TestParallelDeterminism is the determinism regression of the epoch
+// scheduler: a script drained through RunQuiescent must end in exactly
+// the per-node snapshots and provenance-store contents of the same
+// script driven through the plain discrete-event loop, across
 // protocols, topologies, and churn.
 func TestParallelDeterminism(t *testing.T) {
-	workers := runtime.NumCPU()
-	if workers < 2 {
-		workers = 2
-	}
-	cases := []struct {
-		name    string
-		program string
-		n       int
-		edges   []protocols.Edge
-		churn   bool
-	}{
-		{"mincost-grid16", protocols.MinCost, 16, protocols.GridTopology(4, 4, 1), false},
-		{"mincost-grid16-churn", protocols.MinCost, 16, protocols.GridTopology(4, 4, 1), true},
-		{"pathvector-ring8", protocols.PathVector, 8, protocols.RingTopology(8, 1), false},
-		{"pathvector-ring8-churn", protocols.PathVector, 8, protocols.RingTopology(8, 1), true},
-		{"distvector-line8", protocols.DistanceVector, 8, protocols.LineTopology(8, 1), false},
-	}
-	for _, tc := range cases {
+	for _, tc := range schedCases {
 		t.Run(tc.name, func(t *testing.T) {
-			serial := buildConverged(t, tc.program, tc.n, tc.edges, 1, tc.churn)
-			parallel := buildConverged(t, tc.program, tc.n, tc.edges, workers, tc.churn)
-			requireIdentical(t, serial, parallel)
+			ref := buildReference(t, tc.program, tc.n, tc.edges, tc.churn)
+			got := buildConverged(t, tc.program, tc.n, tc.edges, tc.churn)
+			requireIdentical(t, ref, got)
 		})
 	}
 }
 
-// TestParallelismLevelsAgree checks that every parallelism level — not
-// just serial vs NumCPU — converges to the same state.
-func TestParallelismLevelsAgree(t *testing.T) {
-	edges := protocols.GridTopology(3, 3, 1)
-	base := buildConverged(t, protocols.MinCost, 9, edges, 1, true)
-	want := fingerprint(t, base)
-	for _, p := range []int{2, 3, 8, 64} {
-		eng := buildConverged(t, protocols.MinCost, 9, edges, p, true)
-		got := fingerprint(t, eng)
-		for addr := range want {
-			if got[addr] != want[addr] {
-				t.Fatalf("parallelism %d: node %s diverged", p, addr)
-			}
+// TestParallelCoalescingReducesMessages verifies the per-link
+// coalescing actually batches wire messages: every scheduled run must
+// complete with fewer delta messages than the one-message-per-delta
+// reference run while moving the same payload bytes.
+func TestParallelCoalescingReducesMessages(t *testing.T) {
+	for _, tc := range schedCases {
+		ref := buildReference(t, tc.program, tc.n, tc.edges, tc.churn)
+		got := buildConverged(t, tc.program, tc.n, tc.edges, tc.churn)
+		rm, rb, _ := ref.Net.Totals()
+		gm, gb, _ := got.Net.Totals()
+		if gm >= rm {
+			t.Errorf("%s: scheduled run sent %d messages, reference %d: coalescing should reduce the count", tc.name, gm, rm)
+		}
+		if gb != rb {
+			t.Errorf("%s: payload bytes diverged: scheduled %d, reference %d", tc.name, gb, rb)
 		}
 	}
 }
 
-// TestParallelCoalescingReducesMessages verifies the per-link
-// coalescing actually batches wire messages: the parallel run must
-// complete with fewer delta messages than the serial run while moving
-// the same payload bytes.
-func TestParallelCoalescingReducesMessages(t *testing.T) {
-	edges := protocols.GridTopology(4, 4, 1)
-	serial := buildConverged(t, protocols.MinCost, 16, edges, 1, false)
-	parallel := buildConverged(t, protocols.MinCost, 16, edges, 8, false)
-
-	sm, sb, _ := serial.Net.Totals()
-	pm, pb, _ := parallel.Net.Totals()
-	if pm >= sm {
-		t.Errorf("parallel run sent %d messages, serial %d: coalescing should reduce the count", pm, sm)
-	}
-	if pb != sb {
-		t.Errorf("payload bytes diverged: parallel %d, serial %d", pb, sb)
-	}
-}
-
-// TestParallelPoolConcurrentPath pins GOMAXPROCS above 1 so the
-// pooled (multi-goroutine) delivery path runs even on single-CPU
-// machines, where the scheduler's clamp would otherwise fall back to
-// the inline path. Under -race this is what proves the worker pool
-// data-race-free everywhere.
-func TestParallelPoolConcurrentPath(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-	edges := protocols.GridTopology(4, 4, 1)
-	serial := buildConverged(t, protocols.MinCost, 16, edges, 1, true)
-	parallel := buildConverged(t, protocols.MinCost, 16, edges, 4, true)
-	requireIdentical(t, serial, parallel)
-}
-
 // TestReentrantRunQuiescentFromService covers re-entrant drains: a
 // service handler that inserts a fact mid-drain triggers a nested
-// RunQuiescent (Engine.InsertFact always quiesces). Serially that
-// nests Net.Run; under the epoch scheduler the nested call defers to
-// the active drain. Both must converge to the same state.
+// RunQuiescent (Engine.InsertFact always quiesces), which defers to the
+// active drain. The result must match a reference run whose handler
+// only inserts the fact and leaves the events to the running loop.
 func TestReentrantRunQuiescentFromService(t *testing.T) {
-	build := func(par int) *engine.Engine {
+	poked := rel.NewTuple("link", rel.Addr("n3"), rel.Addr("n4"), rel.Int(1))
+	build := func(reference bool) *engine.Engine {
 		eng, err := engine.New(protocols.MinCost, protocols.NodeNames(4), engine.Options{
-			Seed: 1, Provenance: true, Parallelism: par,
+			Seed: 1, Provenance: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.RegisterService("poke", func(n *engine.Node, m simnet.Message) {
-			err := n.Engine().InsertFact(rel.NewTuple("link",
-				rel.Addr("n3"), rel.Addr("n4"), rel.Int(1)))
+			if reference {
+				n3, _ := n.Engine().Node("n3")
+				err = n3.InsertFact(poked)
+			} else {
+				err = n.Engine().InsertFact(poked)
+			}
 			if err != nil {
 				panic(err)
 			}
@@ -202,56 +222,43 @@ func TestReentrantRunQuiescentFromService(t *testing.T) {
 		eng.RunQuiescent()
 		return eng
 	}
-	serial := build(1)
-	parallel := build(8)
-	// The mid-drain insert must have taken effect in both modes…
-	for _, eng := range []*engine.Engine{serial, parallel} {
-		n3, _ := eng.Node("n3")
-		links, err := n3.Tuples("link")
-		if err != nil || len(links) != 2 {
-			t.Fatalf("links at n3 = %v (%v), want n3→n2 and n3→n4", links, err)
-		}
+	ref, got := build(true), build(false)
+	// The mid-drain insert must have taken effect…
+	n3, _ := got.Node("n3")
+	links, err := n3.Tuples("link")
+	if err != nil || len(links) != 2 {
+		t.Fatalf("links at n3 = %v (%v), want n3→n2 and n3→n4", links, err)
 	}
-	// …and both modes must agree on the full converged state.
-	requireIdentical(t, serial, parallel)
+	// …and the converged state must match the reference.
+	requireIdentical(t, ref, got)
 }
 
 // TestParallelSoftStateExpiry drives a program with a finite-lifetime
-// relation under the parallel scheduler: expiry timers execute as
-// serial islands between delta epochs and must behave exactly as in
-// serial mode.
+// relation through the epoch scheduler: expiry timers execute between
+// delta runs and must retract the tuple and everything derived from it.
 func TestParallelSoftStateExpiry(t *testing.T) {
 	src := `
 materialize(ping, 2, infinity, keys(1,2)).
 materialize(seen, infinity, infinity, keys(1,2)).
 p1 seen(@D,S) :- ping(@S,D).
 `
-	build := func(par int) *engine.Engine {
-		eng, err := engine.New(src, []string{"n1", "n2"}, engine.Options{
-			Seed: 1, Provenance: true, Parallelism: par,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		n1, _ := eng.Node("n1")
-		if err := n1.InsertFact(tupleAddr2("ping", "n1", "n2")); err != nil {
-			t.Fatal(err)
-		}
-		eng.RunQuiescent()
-		return eng
+	eng, err := engine.New(src, []string{"n1", "n2"}, engine.Options{Seed: 1, Provenance: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, par := range []int{1, 4} {
-		eng := build(par)
-		// The ping tuple has a 2-second lifetime; after quiescence the
-		// expiry timer has fired and retracted it, cascading across the
-		// network to the derived seen tuple at n2.
-		n1, _ := eng.Node("n1")
-		n2, _ := eng.Node("n2")
-		if ts, err := n1.Tuples("ping"); err != nil || len(ts) != 0 {
-			t.Errorf("parallelism %d: ping at n1 = %v (%v) after expiry, want empty", par, ts, err)
-		}
-		if ts, err := n2.Tuples("seen"); err != nil || len(ts) != 0 {
-			t.Errorf("parallelism %d: seen at n2 = %v (%v) after expiry, want empty", par, ts, err)
-		}
+	n1, _ := eng.Node("n1")
+	n2, _ := eng.Node("n2")
+	if err := n1.InsertFact(tupleAddr2("ping", "n1", "n2")); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunQuiescent()
+	// The ping tuple has a 2-second lifetime; after quiescence the
+	// expiry timer has fired and retracted it, cascading across the
+	// network to the derived seen tuple at n2.
+	if ts, err := n1.Tuples("ping"); err != nil || len(ts) != 0 {
+		t.Errorf("ping at n1 = %v (%v) after expiry, want empty", ts, err)
+	}
+	if ts, err := n2.Tuples("seen"); err != nil || len(ts) != 0 {
+		t.Errorf("seen at n2 = %v (%v) after expiry, want empty", ts, err)
 	}
 }

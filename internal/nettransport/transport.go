@@ -413,9 +413,11 @@ func (t *Transport) Exchange(step uint64, phase uint8, payload []byte) ([][]byte
 			return nil, ErrClosed
 		}
 		if len(missing) == 0 {
-			s := t.inbox[k]
+			// A 1-member mesh has no peers, so no inbox slot exists.
 			out := make([][]byte, t.size)
-			copy(out, s.payloads)
+			if s := t.inbox[k]; s != nil {
+				copy(out, s.payloads)
+			}
 			out[t.self] = nil
 			t.gcLocked(step)
 			t.mu.Unlock()

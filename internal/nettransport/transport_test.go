@@ -271,6 +271,33 @@ func TestCloseUnblocksOwnExchange(t *testing.T) {
 	ts[1].Close()
 }
 
+// TestSingleMemberExchange: a 1-member mesh has no peer to wait for, so
+// Exchange returns at once with just its own empty slot, and a deferred
+// Close still returns. The transport is dialed by hand rather than via
+// dialMesh so a wedged Close fails this test instead of hanging cleanup.
+func TestSingleMemberExchange(t *testing.T) {
+	lns, addrs := listenLocal(t, 1)
+	tr, err := Dial(context.Background(), 0, addrs, Options{Listener: lns[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reps [][]byte
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer tr.Close()
+		reps, err = tr.Exchange(1, 1, []byte("solo"))
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Exchange then Close on a 1-member mesh did not return")
+	}
+	if err != nil || len(reps) != 1 || reps[0] != nil {
+		t.Fatalf("Exchange = %q, %v; want [nil], nil", reps, err)
+	}
+}
+
 // TestDialPeerNeverUp: dialing a mesh whose peer never comes up must
 // honor context cancellation — the backoff loop exits promptly, Dial
 // fails with the context error, and nothing leaks (listener, accept

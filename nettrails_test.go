@@ -277,80 +277,3 @@ func TestBGPTraceReplay(t *testing.T) {
 		}
 	}
 }
-
-// TestSystemParallelismDeterminism is the system-level determinism
-// regression: a full System (engine + provenance + query service) run
-// with the parallel epoch scheduler must end in exactly the state of a
-// serial run — identical tables, provenance digests, and query
-// answers — for the same seed.
-func TestSystemParallelismDeterminism(t *testing.T) {
-	build := func(parallelism int) *nettrails.System {
-		sys, err := nettrails.NewSystem(nettrails.PathVector, nettrails.NodeNames(8),
-			nettrails.Config{Seed: 3, Parallelism: parallelism})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < 8; i++ {
-			a := nettrails.NodeNames(8)[i-1]
-			b := nettrails.NodeNames(8)[i]
-			if err := sys.AddLink(a, b, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Churn: fail and restore a middle link.
-		if err := sys.RemoveLink("n4", "n5", 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.AddLink("n4", "n5", 1); err != nil {
-			t.Fatal(err)
-		}
-		return sys
-	}
-	serial := build(1)
-	parallel := build(8)
-
-	for _, node := range serial.Engine.Nodes() {
-		sn, _ := serial.Engine.Node(node)
-		pn, _ := parallel.Engine.Node(node)
-		s := sn.RT.Store.Snapshot()
-		p := pn.RT.Store.Snapshot()
-		if len(s) != len(p) {
-			t.Fatalf("%s: %d tuples serial vs %d parallel", node, len(s), len(p))
-		}
-		for i := range s {
-			if !s[i].Equal(p[i]) {
-				t.Fatalf("%s: tuple %d diverged: %v vs %v", node, i, s[i], p[i])
-			}
-		}
-		if sn.Prov.Digest() != pn.Prov.Digest() {
-			t.Fatalf("%s: provenance digests diverged", node)
-		}
-	}
-	// Queries over the parallel run answer identically: drill into the
-	// converged n1→n8 best path from each system.
-	bps, err := serial.Tuples("n1", "bestpath")
-	if err != nil || len(bps) == 0 {
-		t.Fatalf("bestpath at n1 = %v (%v)", bps, err)
-	}
-	var probe *int
-	for i, bp := range bps {
-		if d, ok := bp.Vals[1].AsAddr(); ok && d == "n8" {
-			probe = &i
-			break
-		}
-	}
-	if probe == nil {
-		t.Fatalf("no n1→n8 bestpath in %v", bps)
-	}
-	sres, err := serial.Lineage("n1", bps[*probe])
-	if err != nil {
-		t.Fatal(err)
-	}
-	pres, err := parallel.Lineage("n1", bps[*probe])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sres.Root.Size() != pres.Root.Size() {
-		t.Fatalf("lineage sizes diverged: %d vs %d", sres.Root.Size(), pres.Root.Size())
-	}
-}

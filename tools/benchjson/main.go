@@ -1,11 +1,11 @@
 // benchjson converts `go test -bench` output on stdin into a JSON
 // array on stdout, one object per benchmark result, so CI can archive
-// performance trajectories (see `make bench`, which emits
-// BENCH_parallel.json).
+// performance trajectories (see `make bench`, which emits the
+// BENCH_*.json files).
 //
 // Input lines look like:
 //
-//	BenchmarkParallelPathVector/p=4-8  5  54067539 ns/op  123 msgs/op
+//	BenchmarkQueryCache/cold-8  20  3512345 ns/op  19200 allocs/op
 //
 // Everything that is not a benchmark result line is ignored.
 package main
