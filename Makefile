@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all vet staticcheck govulncheck fmt-check build test race fuzz bench bench-publish bench-store serve-smoke scenarios scenarios-slow engine-dist docs-check ci clean
+.PHONY: all vet staticcheck govulncheck fmt-check build test race fuzz bench bench-publish bench-store serve-smoke scenarios scenarios-slow engine-dist perfbench-smoke docs-check ci clean
 
 all: fmt-check vet build test
 
@@ -77,8 +77,8 @@ fuzz:
 #     (sequential round trips vs one batch vs a batch denied its
 #     shared sub-proof cache)
 #   - BENCH_sharded.json: the sharded serving tier (single process vs
-#     a 3-shard deployment behind a colocated or pure gateway, with
-#     real downstream hops/op)
+#     a 3-shard deployment behind a gateway, with real downstream
+#     hops/op)
 #   - BENCH_scenarios.json: the adversarial scenario soak (gateway
 #     query latency percentiles, cache hit rate, and publish rate
 #     under engine churn), via cmd/nettrailssoak
@@ -115,7 +115,7 @@ bench-store:
 	@rm -f bench_store.out
 
 # serve-smoke boots the nettrailsd daemon on an ephemeral port and
-# drives /healthz and /query end to end (plus the churn/pinned-version
+# drives /v1/healthz and /v1/query end to end (plus the churn/pinned-version
 # checks) — the CI face of the query server. The gateway smoke boots a
 # real 3-shard deployment behind nettrailsgw.
 serve-smoke:
@@ -143,13 +143,19 @@ scenarios-slow:
 engine-dist:
 	$(GO) run ./cmd/nettrailsdist -out BENCH_dist.json
 
+# perfbench-smoke compiles the end-to-end benchmark harness (its own
+# module, importing the internal packages) and runs its short smoke
+# tests, so an internal API change cannot silently break it.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+
 # docs-check fails when README.md or docs/ drift from the code: broken
 # relative links, commands naming missing binaries/flags, or make
 # targets that no longer exist (tools/docscheck).
 docs-check:
 	$(GO) run ./tools/docscheck
 
-ci: fmt-check vet staticcheck govulncheck build race fuzz serve-smoke scenarios engine-dist docs-check bench
+ci: fmt-check vet staticcheck govulncheck build race fuzz serve-smoke scenarios engine-dist perfbench-smoke docs-check bench
 
 # clean removes scratch files only; BENCH_*.json are committed
 # trajectory artifacts and must survive a clean.

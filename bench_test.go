@@ -384,7 +384,7 @@ func BenchmarkServeQueries(b *testing.B) {
 					defer wg.Done()
 					client := ts.Client()
 					for next.Add(1) <= int64(b.N) {
-						resp, err := client.Post(ts.URL+"/query", "application/json",
+						resp, err := client.Post(ts.URL+"/v1/query", "application/json",
 							strings.NewReader(query))
 						if err != nil {
 							failures.Add(1)
@@ -613,7 +613,7 @@ func BenchmarkQueryCache(b *testing.B) {
 	defer ts.Close()
 	postQuery := func(b *testing.B, body string, wantCache string) {
 		b.Helper()
-		resp, err := ts.Client().Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		resp, err := ts.Client().Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -794,15 +794,12 @@ func BenchmarkAPIBatch(b *testing.B) {
 }
 
 // BenchmarkShardedQuery (E13): the sharded serving tier. The same
-// deep corner-to-corner lineage is answered three ways over identical
+// deep corner-to-corner lineage is answered two ways over identical
 // deterministic state:
 //
-//   - direct:            one single-process nettrailsd holding every
-//     partition (the PR-4 baseline)
-//   - gateway-colocated: a 3-shard deployment queried through a
-//     gateway colocated with shard 0 — local walk steps read the
-//     colocated snapshot, the rest fan out over HTTP
-//   - gateway-remote:    the same 3 shards behind a pure gateway
+//   - direct:         one single-process nettrailsd holding every
+//     partition
+//   - gateway-remote: a 3-shard deployment behind a gateway
 //     (cmd/nettrailsgw's shape): every partition read crosses HTTP
 //
 // Fresh never-pruning thresholds per iteration keep every query a
@@ -856,19 +853,6 @@ func BenchmarkShardedQuery(b *testing.B) {
 	remote := httptest.NewServer(remoteGW)
 	defer remote.Close()
 
-	localPub, err := server.NewShardedPublisher(buildEngine(), server.DefaultRetain,
-		server.ShardSpec{Index: 0, Total: total})
-	if err != nil {
-		b.Fatal(err)
-	}
-	colocGW, err := gateway.New(context.Background(), urls[1:],
-		gateway.WithLocal(localPub), gateway.WithInfo(server.Info{Protocol: "mincost"}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	coloc := httptest.NewServer(colocGW)
-	defer coloc.Close()
-
 	// Fresh cache keys per query across all reruns.
 	keyBase := 1000
 	run := func(b *testing.B, url string, countHops bool) {
@@ -898,6 +882,5 @@ func BenchmarkShardedQuery(b *testing.B) {
 	}
 
 	b.Run("direct", func(b *testing.B) { run(b, single.URL, false) })
-	b.Run("gateway-colocated", func(b *testing.B) { run(b, coloc.URL, true) })
 	b.Run("gateway-remote", func(b *testing.B) { run(b, remote.URL, true) })
 }

@@ -137,15 +137,6 @@ func (e *Engine) EnableCluster(tr simnet.Transport) error {
 // Clustered reports whether the engine runs in distributed mode.
 func (e *Engine) Clustered() bool { return e.cluster != nil }
 
-// ClusterSelf returns this member's rank and the cluster size; (0, 1)
-// when not clustered.
-func (e *Engine) ClusterSelf() (self, size int) {
-	if e.cluster == nil {
-		return 0, 1
-	}
-	return e.cluster.self, e.cluster.size
-}
-
 // Owns reports whether this process owns the named node. Every node is
 // owned when the engine is not clustered.
 func (e *Engine) Owns(addr string) bool {

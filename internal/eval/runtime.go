@@ -103,9 +103,6 @@ func NewRuntime(addr string, prog *Compiled, funcs *FuncRegistry) (*Runtime, err
 // Stats returns a copy of the counters.
 func (rt *Runtime) Statistics() Stats { return rt.stats }
 
-// Funcs exposes the function registry (for custom builtins in tests).
-func (rt *Runtime) Funcs() *FuncRegistry { return rt.funcs }
-
 // Program returns the compiled program.
 func (rt *Runtime) Program() *Compiled { return rt.prog }
 

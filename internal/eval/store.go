@@ -89,12 +89,3 @@ func (s *Store) FreezeAll() (map[string]*rel.Frozen, int) {
 	}
 	return out, total
 }
-
-// Counts returns relation -> visible row count.
-func (s *Store) Counts() map[string]int {
-	out := map[string]int{}
-	for n, t := range s.tables {
-		out[n] = t.Len()
-	}
-	return out
-}

@@ -3,12 +3,11 @@
 // partitions across N nettrailsd shards (nettrailsd -shard i/N), each
 // publishing snapshots of only the nodes it owns; a Gateway presents
 // the same /v1 query surface as a single daemon and answers it by
-// running the one provgraph walk itself — resolving walk steps
-// against the colocated shard's snapshot when the vertex's node lives
-// there, and fanning out batched, version-pinned partition reads
-// (POST /v1/prov/read, via the repro/client SDK) to the owning shard
-// when it doesn't. Cross-shard lineage traversal thus mirrors the
-// paper's cross-node traversal, one tier up.
+// running the one provgraph walk itself, fanning out batched,
+// version-pinned partition reads (POST /v1/prov/read, via the
+// repro/client SDK) to the shard owning each vertex's node.
+// Cross-shard lineage traversal thus mirrors the paper's cross-node
+// traversal, one tier up.
 //
 // Epoch agreement is by version pinning: all shards of a
 // deterministic run mint the same dense snapshot-version sequence, so
@@ -21,13 +20,10 @@
 package gateway
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -51,9 +47,7 @@ type Gateway struct {
 	allNodes []string
 	table    map[string]int // node -> shard index
 
-	clients  []*client.Client // one per shard index
-	localIdx int              // -1 when no colocated shard
-	localPub *server.Publisher
+	clients []*client.Client // one per shard index
 
 	cache *gwCache
 	times sync.Map // version -> simnet.Time (immutable once learned)
@@ -67,131 +61,42 @@ type Option func(*Gateway)
 // default query timeout (same semantics as the shard server's Info).
 func WithInfo(info server.Info) Option { return func(g *Gateway) { g.info = info } }
 
-// WithLocal colocates the gateway with one shard: walk steps on nodes
-// that shard owns read its published snapshots directly, with no HTTP
-// and no serialization. The publisher's ShardSpec places it in the
-// deployment; the remaining shards' URLs still must be given to New.
-func WithLocal(pub *server.Publisher) Option { return func(g *Gateway) { g.localPub = pub } }
-
 // New discovers a sharded deployment from the shards' base URLs and
-// builds its gateway. Every shard is contacted for GET /v1/shards and
-// the answers must describe one coherent deployment (each index held
-// exactly once, identical node lists). With WithLocal, the colocated
-// shard needs no URL: urls covers the remaining shards.
+// builds its gateway. Every shard is contacted for GET /v1/shards, and
+// the SDK's discovery checks that the answers describe one coherent
+// deployment (each index held exactly once, identical node lists).
 func New(ctx context.Context, urls []string, opts ...Option) (*Gateway, error) {
-	g := &Gateway{localIdx: -1, cache: newGwCache()}
+	g := &Gateway{cache: newGwCache()}
 	for _, o := range opts {
 		o(g)
 	}
-
-	if g.localPub == nil {
-		// Pure-remote federation: the SDK's shard discovery already
-		// validates the deployment's coherence.
-		set, err := client.DiscoverShards(ctx, urls)
-		if err != nil {
-			return nil, fmt.Errorf("gateway: %w", err)
-		}
-		g.total = set.Len()
-		g.allNodes = set.Nodes()
-		g.clients = make([]*client.Client, g.total)
-		for i := range g.clients {
-			g.clients[i] = set.Shard(i)
-		}
-	} else {
-		// Colocated: the local shard fills its own slot (served through
-		// an in-process round-tripper so fan-out paths stay uniform);
-		// urls covers the remaining shards, validated here.
-		spec := g.localPub.Shard()
-		g.total = spec.Total
-		if g.total < 1 {
-			g.total = 1
-		}
-		g.localIdx = spec.Index
-		snap := g.localPub.Current()
-		g.allNodes = snap.AllNodes
-		g.times.Store(snap.Version, snap.Time)
-		g.clients = make([]*client.Client, g.total)
-
-		srv := server.New(g.localPub, g.info)
-		c, err := client.New("http://local",
-			client.WithHTTPClient(&http.Client{Transport: inprocTransport{srv.Handler()}}))
-		if err != nil {
-			return nil, err
-		}
-		g.clients[g.localIdx] = c
-
-		for _, u := range urls {
-			c, err := client.New(u)
-			if err != nil {
-				return nil, err
-			}
-			sh, err := c.Shards(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("gateway: shard discovery at %s: %w", u, err)
-			}
-			if sh.Shard.Total != g.total {
-				return nil, fmt.Errorf("gateway: %s reports %d shards, want %d", u, sh.Shard.Total, g.total)
-			}
-			if sh.Shard.Index < 0 || sh.Shard.Index >= g.total {
-				return nil, fmt.Errorf("gateway: %s reports shard index %d of %d", u, sh.Shard.Index, g.total)
-			}
-			if g.clients[sh.Shard.Index] != nil {
-				return nil, fmt.Errorf("gateway: two servers claim shard %d/%d", sh.Shard.Index, g.total)
-			}
-			if !equalStrings(g.allNodes, sh.AllNodes) {
-				return nil, fmt.Errorf("gateway: %s disagrees about the network's node list", u)
-			}
-			g.clients[sh.Shard.Index] = c
-		}
-		for i, c := range g.clients {
-			if c == nil {
-				return nil, fmt.Errorf("gateway: no server for shard %d/%d", i, g.total)
-			}
-		}
+	set, err := client.DiscoverShards(ctx, urls)
+	if err != nil {
+		return nil, fmt.Errorf("gateway: %w", err)
 	}
+	g.total = set.Len()
+	g.allNodes = set.Nodes()
+	g.clients = make([]*client.Client, g.total)
 	g.table = make(map[string]int, len(g.allNodes))
+	for i := range g.clients {
+		g.clients[i] = set.Shard(i)
+	}
 	for i, addr := range g.allNodes {
 		g.table[addr] = server.ShardOf(i, g.total)
 	}
 
 	g.mux = http.NewServeMux()
-	g.route("GET", "/v1/healthz", g.handleHealthz)
-	g.route("GET", "/v1/version", g.handleVersion)
-	g.route("GET", "/v1/shards", g.handleShards)
-	g.route("GET", "/v1/nodes", g.handleNodes)
-	g.route("GET", "/v1/state/{node}", g.handleState)
-	g.route("GET", "/v1/history/first", g.handleHistoryFirst)
-	g.route("POST", "/v1/query", g.handleQuery)
-	g.route("POST", "/v1/query/batch", g.handleQueryBatch)
-	g.route("GET", "/v1/proof.dot", g.handleProofDOT)
-	g.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		server.WriteErr(w, http.StatusNotFound, server.ErrUnknownEndpoint,
-			"unknown endpoint %s", r.URL.Path)
-	})
+	server.Route(g.mux, "GET", "/v1/healthz", g.handleHealthz)
+	server.Route(g.mux, "GET", "/v1/version", g.handleVersion)
+	server.Route(g.mux, "GET", "/v1/shards", g.handleShards)
+	server.Route(g.mux, "GET", "/v1/nodes", g.handleNodes)
+	server.Route(g.mux, "GET", "/v1/state/{node}", g.handleState)
+	server.Route(g.mux, "GET", "/v1/history/first", g.handleHistoryFirst)
+	server.Route(g.mux, "POST", "/v1/query", g.handleQuery)
+	server.Route(g.mux, "POST", "/v1/query/batch", g.handleQueryBatch)
+	server.Route(g.mux, "GET", "/v1/proof.dot", g.handleProofDOT)
+	server.NotFound(g.mux)
 	return g, nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// route mounts one method with a structured 405 for the rest, like
-// the shard server (the gateway has no legacy aliases).
-func (g *Gateway) route(method, pattern string, h http.HandlerFunc) {
-	g.mux.HandleFunc(method+" "+pattern, h)
-	g.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", method)
-		server.WriteErr(w, http.StatusMethodNotAllowed, server.ErrMethodNotAllowed,
-			"method %s not allowed on %s (allow %s)", r.Method, r.URL.Path, method)
-	})
 }
 
 // Handler returns the root handler for http.Serve.
@@ -213,10 +118,6 @@ func (g *Gateway) Shards() int { return g.total }
 // status, context failures become the standard cancellation errors,
 // and everything else is a 502 shard_unreachable.
 func downstreamError(err error) *server.APIError {
-	var ee *evictedError
-	if errors.As(err, &ee) {
-		return server.Errf(http.StatusGone, server.ErrSnapshotEvicted, "%v", ee)
-	}
 	var ae *client.APIError
 	if errors.As(err, &ae) {
 		status := ae.Status
@@ -236,15 +137,14 @@ func downstreamError(err error) *server.APIError {
 // forEachShard runs f for every shard concurrently — downstream calls
 // are independent, and a serial sweep would pay one round trip of
 // latency per shard — then returns the first error by shard order.
-// isLocal tells f to answer from the colocated publisher, no HTTP.
-func (g *Gateway) forEachShard(f func(i int, c *client.Client, isLocal bool) error) error {
+func (g *Gateway) forEachShard(f func(i int, c *client.Client) error) error {
 	errs := make([]error, len(g.clients))
 	var wg sync.WaitGroup
 	for i, c := range g.clients {
 		wg.Add(1)
 		go func(i int, c *client.Client) {
 			defer wg.Done()
-			errs[i] = f(i, c, i == g.localIdx && g.localPub != nil)
+			errs[i] = f(i, c)
 		}(i, c)
 	}
 	wg.Wait()
@@ -256,14 +156,6 @@ func (g *Gateway) forEachShard(f func(i int, c *client.Client, isLocal bool) err
 	return nil
 }
 
-// remoteShards counts the shards reached over HTTP by a full fan-out.
-func (g *Gateway) remoteShards() int {
-	if g.localIdx >= 0 && g.localPub != nil {
-		return len(g.clients) - 1
-	}
-	return len(g.clients)
-}
-
 // resolveVersion picks the snapshot version a request pins on every
 // shard: an explicit version is used as-is; version 0 resolves to the
 // minimum of the shards' current versions — the newest epoch every
@@ -273,11 +165,7 @@ func (g *Gateway) resolveVersion(ctx context.Context, version uint64) (v uint64,
 		return version, 0, nil
 	}
 	versions := make([]uint64, len(g.clients))
-	err := g.forEachShard(func(i int, c *client.Client, isLocal bool) error {
-		if isLocal {
-			versions[i] = g.localPub.Current().Version
-			return nil
-		}
+	err := g.forEachShard(func(i int, c *client.Client) error {
 		h, err := c.Health(ctx)
 		if err != nil {
 			return err
@@ -285,7 +173,7 @@ func (g *Gateway) resolveVersion(ctx context.Context, version uint64) (v uint64,
 		versions[i] = h.Version
 		return nil
 	})
-	hops = g.remoteShards()
+	hops = len(g.clients)
 	if err != nil {
 		return 0, hops, downstreamError(err)
 	}
@@ -303,14 +191,6 @@ func (g *Gateway) resolveVersion(ctx context.Context, version uint64) (v uint64,
 func (g *Gateway) timeOf(ctx context.Context, version uint64) (simnet.Time, int, *server.APIError) {
 	if t, ok := g.times.Load(version); ok {
 		return t.(simnet.Time), 0, nil
-	}
-	if g.localPub != nil {
-		if snap, ok := g.localPub.At(version); ok {
-			g.times.Store(version, snap.Time)
-			return snap.Time, 0, nil
-		}
-		return 0, 0, server.Errf(http.StatusGone, server.ErrSnapshotEvicted,
-			"version %d not retained by the local shard", version)
 	}
 	sh, err := g.clients[0].Shards(ctx, client.At(version))
 	if err != nil {
@@ -460,52 +340,6 @@ func (c *gwCache) put(key gwKey, r *provquery.Result) {
 // counters returns the cumulative hit/miss counts.
 func (c *gwCache) counters() (hits, misses int64) { return c.hits.Load(), c.misses.Load() }
 
-// ---- in-process transport ----------------------------------------------
-
-// inprocTransport serves SDK calls for a colocated shard straight
-// through its handler — no TCP, no listener.
-type inprocTransport struct{ h http.Handler }
-
-// RoundTrip implements http.RoundTripper over the wrapped handler.
-func (t inprocTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if err := req.Context().Err(); err != nil {
-		return nil, err
-	}
-	rec := &inprocRecorder{code: http.StatusOK, hdr: http.Header{}}
-	t.h.ServeHTTP(rec, req)
-	return &http.Response{
-		StatusCode: rec.code,
-		Status:     http.StatusText(rec.code),
-		Header:     rec.hdr,
-		Body:       io.NopCloser(bufio.NewReader(bytes.NewReader(rec.buf.Bytes()))),
-		Request:    req,
-	}, nil
-}
-
-type inprocRecorder struct {
-	code  int
-	wrote bool
-	hdr   http.Header
-	buf   bytes.Buffer
-}
-
-// Header implements http.ResponseWriter.
-func (r *inprocRecorder) Header() http.Header { return r.hdr }
-
-// WriteHeader implements http.ResponseWriter (first write wins).
-func (r *inprocRecorder) WriteHeader(code int) {
-	if !r.wrote {
-		r.code = code
-		r.wrote = true
-	}
-}
-
-// Write implements http.ResponseWriter.
-func (r *inprocRecorder) Write(b []byte) (int, error) {
-	r.wrote = true
-	return r.buf.Write(b)
-}
-
 // ---- HTTP handlers ------------------------------------------------------
 
 func setHops(w http.ResponseWriter, hops int) {
@@ -521,18 +355,6 @@ func (g *Gateway) setCacheHeaders(w http.ResponseWriter, hit bool) {
 	w.Header().Set("X-Cache", verdict)
 	w.Header().Set("X-Cache-Hits", strconv.FormatInt(hits, 10))
 	w.Header().Set("X-Cache-Misses", strconv.FormatInt(misses, 10))
-}
-
-func versionParam(r *http.Request) (uint64, *server.APIError) {
-	raw := r.URL.Query().Get("version")
-	if raw == "" {
-		return 0, nil
-	}
-	v, err := strconv.ParseUint(raw, 10, 64)
-	if err != nil {
-		return 0, server.Errf(http.StatusBadRequest, server.ErrInvalidRequest, "bad version %q", raw)
-	}
-	return v, nil
 }
 
 type gwHealthzJSON struct {
@@ -553,12 +375,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Nodes: len(g.allNodes), Shards: g.total}
 	versions := make([]uint64, len(g.clients))
 	oldests := make([]uint64, len(g.clients))
-	err := g.forEachShard(func(i int, c *client.Client, isLocal bool) error {
-		if isLocal {
-			versions[i] = g.localPub.Current().Version
-			oldests[i], _ = g.localPub.Versions()
-			return nil
-		}
+	err := g.forEachShard(func(i int, c *client.Client) error {
 		h, err := c.Health(r.Context())
 		if err != nil {
 			return err
@@ -566,7 +383,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		versions[i], oldests[i] = h.Version, h.Oldest
 		return nil
 	})
-	setHops(w, g.remoteShards())
+	setHops(w, len(g.clients))
 	if err != nil {
 		server.WriteAPIError(w, downstreamError(err))
 		return
@@ -618,7 +435,7 @@ func (g *Gateway) handleShards(w http.ResponseWriter, r *http.Request) {
 // handleNodes merges every shard's owned-node summaries at one pinned
 // version into the same document a single-process daemon serves.
 func (g *Gateway) handleNodes(w http.ResponseWriter, r *http.Request) {
-	version, apiErr := versionParam(r)
+	version, apiErr := server.VersionParam(r)
 	if apiErr != nil {
 		server.WriteAPIError(w, apiErr)
 		return
@@ -629,7 +446,7 @@ func (g *Gateway) handleNodes(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	perShard := make([]*client.Nodes, len(g.clients))
-	err := g.forEachShard(func(i int, c *client.Client, _ bool) error {
+	err := g.forEachShard(func(i int, c *client.Client) error {
 		ns, err := c.Nodes(r.Context(), client.At(v))
 		if err != nil {
 			return err
@@ -637,7 +454,7 @@ func (g *Gateway) handleNodes(w http.ResponseWriter, r *http.Request) {
 		perShard[i] = ns
 		return nil
 	})
-	hops += g.remoteShards() // the colocated shard's fetch is in-process, not a hop
+	hops += len(g.clients)
 	setHops(w, hops)
 	if err != nil {
 		server.WriteAPIError(w, downstreamError(err))
@@ -677,7 +494,7 @@ func (g *Gateway) handleState(w http.ResponseWriter, r *http.Request) {
 		server.WriteErr(w, http.StatusNotFound, server.ErrUnknownNode, "unknown node %q", addr)
 		return
 	}
-	version, apiErr := versionParam(r)
+	version, apiErr := server.VersionParam(r)
 	if apiErr != nil {
 		server.WriteAPIError(w, apiErr)
 		return
@@ -758,8 +575,8 @@ func (g *Gateway) handleHistoryFirst(w http.ResponseWriter, r *http.Request) {
 // answered by federated traversal.
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req server.QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidRequest, "bad request body: %v", err)
+	if apiErr := server.DecodeJSON(w, r, &req); apiErr != nil {
+		server.WriteAPIError(w, apiErr)
 		return
 	}
 	typ, t, at, opts, apiErr := server.ResolveQueryRequest(&req)
@@ -806,8 +623,8 @@ type gwBatchResponse struct {
 // errors in place, whole-batch failure on cancellation or timeout.
 func (g *Gateway) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	var req gwBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidRequest, "bad request body: %v", err)
+	if apiErr := server.DecodeJSON(w, r, &req); apiErr != nil {
+		server.WriteAPIError(w, apiErr)
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -906,7 +723,7 @@ func (g *Gateway) handleProofDOT(w http.ResponseWriter, r *http.Request) {
 		server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidQuery, "%v", err)
 		return
 	}
-	version, apiErr := versionParam(r)
+	version, apiErr := server.VersionParam(r)
 	if apiErr != nil {
 		server.WriteAPIError(w, apiErr)
 		return

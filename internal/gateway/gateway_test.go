@@ -228,48 +228,24 @@ func TestShardedBatchParity(t *testing.T) {
 	}
 }
 
-// TestGatewayColocatedShard: a gateway colocated with shard 0
-// (WithLocal) resolves local walk steps without HTTP and still
-// answers byte-identically.
-func TestGatewayColocatedShard(t *testing.T) {
-	d := deployGrid(t, 3, 3, 0)
-
-	// A second 3-shard deployment reusing the same deterministic build,
-	// with shard 0 colocated into the gateway process.
-	localPub, err := server.NewShardedPublisher(buildGrid(t, 3), 0,
-		server.ShardSpec{Index: 0, Total: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := gateway.New(context.Background(),
-		[]string{d.shards[1].URL, d.shards[2].URL},
-		gateway.WithLocal(localPub),
-		gateway.WithInfo(server.Info{Protocol: "mincost"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := httptest.NewServer(g)
-	defer gw.Close()
-
-	for _, q := range parityQueries("mincost(@'n1','n9',4)") {
-		_, sBody := post(t, d.single.URL+"/v1/query", q)
-		gResp, gBody := post(t, gw.URL+"/v1/query", q)
-		if gResp.StatusCode != http.StatusOK || !bytes.Equal(sBody, gBody) {
-			t.Fatalf("colocated parity broken for %s:\n%d %s\nvs\n%s", q, gResp.StatusCode, gBody, sBody)
+// TestGatewayRequestBodyLimit: the gateway bounds request bodies like
+// a shard, with the same structured 413 one byte over the limit.
+func TestGatewayRequestBodyLimit(t *testing.T) {
+	d := deployGrid(t, 2, 2, 0)
+	over := `{"q":"` + strings.Repeat("x", server.MaxRequestBytes+1-len(`{"q":""}`)) + `"}`
+	for _, path := range []string{"/v1/query", "/v1/query/batch"} {
+		resp, body := post(t, d.gw.URL+path, over)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s one byte over: %d, want 413 (%.200s)", path, resp.StatusCode, body)
 		}
-	}
-
-	// A version-pinned query that starts and stays on the local
-	// shard's nodes costs zero downstream HTTP hops. n1 is owned by
-	// shard 0 and the link tuple is a base fact: the whole walk is
-	// local. (An unpinned query would still spend hops resolving the
-	// current version across the remote shards.)
-	resp, body := post(t, gw.URL+"/v1/query", `{"q":"lineage of link(@'n1','n2',1)","version":1}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("local lineage: %d %s", resp.StatusCode, body)
-	}
-	if hops := resp.Header.Get("X-Shard-Hops"); hops != "0" {
-		t.Fatalf("local-only walk cost %s shard hops, want 0", hops)
+		var e struct {
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		if err := json.Unmarshal(body, &e); err != nil || e.Error.Code != server.ErrRequestTooLarge {
+			t.Fatalf("%s one byte over: %s, want code %q", path, body, server.ErrRequestTooLarge)
+		}
 	}
 }
 

@@ -8,14 +8,12 @@ import (
 	"repro/internal/provenance"
 	"repro/internal/provgraph"
 	"repro/internal/rel"
-	"repro/internal/server"
 )
 
 // fedSource adapts a sharded deployment to the provgraph walk: the
-// federated face of the one-walk design. Reads for nodes the local
-// shard owns resolve directly against the colocated pinned snapshot;
-// reads for every other node fan out over HTTP to the owning shard's
-// POST /v1/prov/read, pinned to the same snapshot version everywhere.
+// federated face of the one-walk design. Every partition read fans out
+// over HTTP to the owning shard's POST /v1/prov/read, pinned to the
+// same snapshot version everywhere.
 //
 // Cross-node hops are deferred: ExpandRemote queues the expansion and
 // the query driver flushes the queue in rounds, so sibling expansions
@@ -96,70 +94,15 @@ func (s *fedSource) fail(err error) {
 	}
 }
 
-// readShard issues one batch of reads against the shard owning them:
-// directly on the colocated snapshot for the local shard (no HTTP),
-// over the SDK for remote ones (one real hop per request).
+// readShard issues one batch of reads against the shard owning them
+// (one real hop per request).
 func (s *fedSource) readShard(shard int, ops []client.ProvReadOp) ([]client.ProvReadResult, error) {
-	if s.g.localIdx == shard && s.g.localPub != nil {
-		snap, ok := s.g.localPub.At(s.version)
-		if !ok {
-			return nil, &evictedError{shard: shard, version: s.version}
-		}
-		srvOps := make([]server.ProvReadOp, len(ops))
-		for i, op := range ops {
-			srvOps[i] = server.ProvReadOp{Op: op.Op, Loc: op.Loc, ID: op.ID}
-		}
-		return convertResults(snap.ProvRead(srvOps)), nil
-	}
 	s.hops++
 	res, err := s.g.clients[shard].ProvRead(s.ctx, s.version, ops)
 	if err != nil {
 		return nil, err
 	}
 	return res.Results, nil
-}
-
-// evictedError marks a pinned version missing from one shard's
-// retention ring — the cross-shard epoch-agreement failure mode.
-type evictedError struct {
-	shard   int
-	version uint64
-}
-
-// Error names the shard and version that fell out of agreement.
-func (e *evictedError) Error() string {
-	return fmt.Sprintf("shard %d no longer retains version %d", e.shard, e.version)
-}
-
-// convertResults maps the server-side read results onto the SDK
-// shapes, so local and remote reads decode through one path.
-func convertResults(in []server.ProvReadResult) []client.ProvReadResult {
-	out := make([]client.ProvReadResult, len(in))
-	for i, r := range in {
-		out[i] = client.ProvReadResult{
-			Err:        r.Err,
-			ProvVertex: convertVertex(r.ProvVertexJSON),
-			ExecOK:     r.ExecOK,
-		}
-		if r.Exec != nil {
-			out[i].Exec = &client.ProvExec{Rule: r.Exec.Rule, VIDs: r.Exec.VIDs}
-		}
-		for _, in := range r.Inputs {
-			out[i].Inputs = append(out[i].Inputs, client.ProvInput{
-				VID:        in.VID,
-				ProvVertex: convertVertex(in.ProvVertexJSON),
-			})
-		}
-	}
-	return out
-}
-
-func convertVertex(v server.ProvVertexJSON) client.ProvVertex {
-	out := client.ProvVertex{TupleOK: v.TupleOK, Tuple: v.Tuple, DerivsOK: v.DerivsOK}
-	for _, d := range v.Derivs {
-		out.Derivs = append(out.Derivs, client.ProvDeriv{RID: d.RID, RLoc: d.RLoc})
-	}
-	return out
 }
 
 // decodeVertex turns a wire vertex into walk-ready partition data.
@@ -293,8 +236,7 @@ func (s *fedSource) execAt(loc string, rid rel.ID) execData {
 
 // ---- provgraph.Source ---------------------------------------------------
 
-// TupleOf resolves a pinned VID at loc (locally or via the owning
-// shard).
+// TupleOf resolves a pinned VID at loc via the owning shard.
 func (s *fedSource) TupleOf(loc string, vid rel.ID) (rel.Tuple, bool) {
 	vd := s.vertex(loc, vid)
 	return vd.tuple, vd.tupleOK

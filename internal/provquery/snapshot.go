@@ -58,12 +58,10 @@ type SnapshotClient struct {
 	src ViewResolver
 }
 
-// mapViewSet is the map-backed ViewResolver the legacy constructors
-// wrap: views keyed by address, plus the optional known-node set of a
-// sharded deployment (nil known = views cover the whole network).
+// mapViewSet is the map-backed ViewResolver NewSnapshotClient wraps:
+// views keyed by address, covering the whole network.
 type mapViewSet struct {
 	views map[string]PartitionView
-	known map[string]bool
 }
 
 func (m mapViewSet) PartitionView(addr string) (PartitionView, bool) {
@@ -71,7 +69,7 @@ func (m mapViewSet) PartitionView(addr string) (PartitionView, bool) {
 	return v, ok
 }
 
-func (m mapViewSet) KnownNode(addr string) bool { return m.known[addr] }
+func (m mapViewSet) KnownNode(string) bool { return false }
 
 // NewResolverClient builds a client directly over a ViewResolver. The
 // resolver must be immutable for the client's lifetime.
@@ -83,20 +81,6 @@ func NewResolverClient(src ViewResolver) *SnapshotClient {
 // address. The map is used as-is and must not be mutated afterwards.
 func NewSnapshotClient(views map[string]PartitionView) *SnapshotClient {
 	return NewResolverClient(mapViewSet{views: views})
-}
-
-// NewPartialSnapshotClient builds a client over one shard's subset of
-// the network's partitions. allNodes lists every node address in the
-// whole network; queries whose traversal stays inside the held views
-// answer exactly as an unsharded client would, while a walk that
-// reaches a node in allNodes without a held view fails with an error
-// wrapping ErrNotOwned (never a silently partial result).
-func NewPartialSnapshotClient(views map[string]PartitionView, allNodes []string) *SnapshotClient {
-	known := make(map[string]bool, len(allNodes))
-	for _, addr := range allNodes {
-		known[addr] = true
-	}
-	return NewResolverClient(mapViewSet{views: views, known: known})
 }
 
 // Query evaluates a provenance query of the given type for the tuple at

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -235,22 +236,10 @@ func (s *Store) checkIdentity(h *header, name string) error {
 		return fmt.Errorf("provstore: %s written by shard %d/%d, store opened as %d/%d",
 			name, h.shardIdx, h.shardN, s.opts.Shard.Index, s.opts.Shard.Total)
 	}
-	if !equalStrings(h.allNodes, s.opts.AllNodes) || !equalStrings(h.owned, s.opts.Owned) {
+	if !slices.Equal(h.allNodes, s.opts.AllNodes) || !slices.Equal(h.owned, s.opts.Owned) {
 		return fmt.Errorf("provstore: %s written for a different node set", name)
 	}
 	return nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // recoverActive discovers and recovers the unsealed tail segment

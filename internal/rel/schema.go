@@ -99,16 +99,6 @@ func (c *Catalog) Lookup(name string) (*Schema, bool) {
 	return s, ok
 }
 
-// MustLookup finds a schema or panics; for internal relations that are
-// always registered by construction.
-func (c *Catalog) MustLookup(name string) *Schema {
-	s, ok := c.m[name]
-	if !ok {
-		panic(fmt.Sprintf("rel: relation %s not in catalog", name))
-	}
-	return s
-}
-
 // Names returns all relation names in sorted order.
 func (c *Catalog) Names() []string {
 	out := make([]string, 0, len(c.m))

@@ -13,11 +13,13 @@ import (
 //	{"error": {"code": "snapshot_evicted", "message": "version 3 not retained ..."}}
 //
 // The code is a stable contract — clients branch on it; the message is
-// human-readable detail and may change freely. Legacy routes share the
-// handlers, so they emit the identical envelope.
+// human-readable detail and may change freely.
 const (
 	// ErrInvalidRequest: malformed body or parameters (400).
 	ErrInvalidRequest = "invalid_request"
+	// ErrRequestTooLarge: the request body exceeds MaxRequestBytes
+	// (413).
+	ErrRequestTooLarge = "request_too_large"
 	// ErrInvalidQuery: the query text, tuple literal, or query type
 	// failed to parse (400).
 	ErrInvalidQuery = "invalid_query"

@@ -20,7 +20,7 @@ import (
 	"repro/internal/viz"
 )
 
-// Info configures a server instance: its /healthz label plus the
+// Info configures a server instance: its /v1/healthz label plus the
 // traversal caps applied to every query it serves.
 type Info struct {
 	// Protocol is the human-readable workload name (e.g. "mincost",
@@ -41,13 +41,10 @@ type Info struct {
 	Timeout time.Duration
 }
 
-// Server is the HTTP JSON face of a Publisher. The canonical surface
-// is versioned under /v1/; the original unversioned routes remain as
-// thin deprecated aliases that run the identical handlers (so their
-// bodies stay byte-identical) while flagging themselves with a
-// Deprecation header. All handlers read published snapshots only; none
-// ever touches live engine state, so any number of requests run
-// concurrently with the simulation.
+// Server is the HTTP JSON face of a Publisher, versioned under /v1/.
+// All handlers read published snapshots only; none ever touches live
+// engine state, so any number of requests run concurrently with the
+// simulation.
 type Server struct {
 	pub  *Publisher
 	info Info
@@ -60,51 +57,61 @@ type Server struct {
 // New builds the HTTP API over a publisher.
 func New(pub *Publisher, info Info) *Server {
 	s := &Server{pub: pub, info: info, mux: http.NewServeMux()}
-	s.route("GET", "/healthz", s.handleHealthz, true)
-	s.route("GET", "/nodes", s.handleNodes, true)
-	s.route("GET", "/state/{node}", s.handleState, true)
-	s.route("POST", "/query", s.handleQuery, true)
-	s.route("GET", "/proof.dot", s.handleProofDOT, true)
-	// v1-only endpoints: no legacy alias ever existed for these.
-	s.route("GET", "/version", s.handleVersion, false)
-	s.route("POST", "/query/batch", s.handleQueryBatch, false)
-	s.route("GET", "/shards", s.handleShards, false)
-	s.route("POST", "/prov/read", s.handleProvRead, false)
-	s.route("GET", "/history/first", s.handleHistoryFirst, false)
-	// Anything else is a structured JSON 404, not the mux's plain-text
-	// default.
-	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		WriteErr(w, http.StatusNotFound, ErrUnknownEndpoint, "unknown endpoint %s", r.URL.Path)
-	})
+	Route(s.mux, "GET", "/v1/healthz", s.handleHealthz)
+	Route(s.mux, "GET", "/v1/nodes", s.handleNodes)
+	Route(s.mux, "GET", "/v1/state/{node}", s.handleState)
+	Route(s.mux, "POST", "/v1/query", s.handleQuery)
+	Route(s.mux, "GET", "/v1/proof.dot", s.handleProofDOT)
+	Route(s.mux, "GET", "/v1/version", s.handleVersion)
+	Route(s.mux, "POST", "/v1/query/batch", s.handleQueryBatch)
+	Route(s.mux, "GET", "/v1/shards", s.handleShards)
+	Route(s.mux, "POST", "/v1/prov/read", s.handleProvRead)
+	Route(s.mux, "GET", "/v1/history/first", s.handleHistoryFirst)
+	NotFound(s.mux)
 	return s
 }
 
-// route registers a handler for one method under /v1/<pattern> — plus,
-// when legacy is set, under the pre-v1 path as a deprecated alias —
-// and a structured JSON 405 (with the Allow header) for every other
-// method on the same patterns.
-func (s *Server) route(method, pattern string, h http.HandlerFunc, legacy bool) {
-	notAllowed := func(w http.ResponseWriter, r *http.Request) {
+// Route mounts h for one method on pattern, and a structured JSON 405
+// (with the Allow header) for every other method on the same pattern.
+// The shard server and the gateway mount every endpoint through it.
+func Route(mux *http.ServeMux, method, pattern string, h http.HandlerFunc) {
+	mux.HandleFunc(method+" "+pattern, h)
+	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Allow", method)
 		WriteErr(w, http.StatusMethodNotAllowed, ErrMethodNotAllowed,
 			"method %s not allowed on %s (allow %s)", r.Method, r.URL.Path, method)
-	}
-	s.mux.HandleFunc(method+" /v1"+pattern, h)
-	s.mux.HandleFunc("/v1"+pattern, notAllowed)
-	if legacy {
-		s.mux.HandleFunc(method+" "+pattern, deprecated(h))
-		s.mux.HandleFunc(pattern, notAllowed)
-	}
+	})
 }
 
-// deprecated wraps a canonical handler for its legacy mount: the body
-// is produced by the very same handler (byte-identical to the /v1
-// twin), with headers announcing the successor route.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-		h(w, r)
+// NotFound answers every path no Route matched with a structured JSON
+// 404, not the mux's plain-text default.
+func NotFound(mux *http.ServeMux) {
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		WriteErr(w, http.StatusNotFound, ErrUnknownEndpoint, "unknown endpoint %s", r.URL.Path)
+	})
+}
+
+// MaxRequestBytes bounds every JSON request body. It leaves room for a
+// full batch — MaxBatchQueries queries of 3 KiB each, or MaxProvReads
+// reads of 512 bytes each, where real ones are about 100 bytes — so the
+// count limits, not the byte limit, are what a well-formed batch runs
+// into.
+const MaxRequestBytes = 4 << 20
+
+// DecodeJSON decodes a request body of at most MaxRequestBytes into v.
+// A larger body is the structured 413 request_too_large; any other
+// decode failure is a 400 invalid_request.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) *APIError {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &tooLarge):
+		return Errf(http.StatusRequestEntityTooLarge, ErrRequestTooLarge,
+			"request body exceeds %d bytes", tooLarge.Limit)
+	default:
+		return Errf(http.StatusBadRequest, ErrInvalidRequest, "bad request body: %v", err)
 	}
 }
 
@@ -278,7 +285,9 @@ func (s *Server) snapshotAt(version uint64) (*Snapshot, *APIError) {
 	return snap, nil
 }
 
-func versionParam(r *http.Request) (uint64, *APIError) {
+// VersionParam reads the optional ?version= pin of a GET request; 0
+// means current.
+func VersionParam(r *http.Request) (uint64, *APIError) {
 	raw := r.URL.Query().Get("version")
 	if raw == "" {
 		return 0, nil
@@ -296,10 +305,10 @@ func versionParam(r *http.Request) (uint64, *APIError) {
 // response. Snapshots are immutable and response bodies are a pure
 // function of (resolved version, path, parameters), so the ETag never
 // needs to see the body — conditional requests are answered before any
-// traversal work. The /v1 prefix is stripped and the version parameter
-// replaced by the resolved version, so a legacy alias, its /v1 twin,
-// and pinned/current spellings of the same snapshot all validate
-// against the same tag.
+// traversal work. The version parameter is replaced by the resolved
+// version, so pinned and current spellings of the same snapshot
+// validate against the same tag. The /v1 prefix is stripped before
+// hashing, so tags keep the values clients already hold.
 func requestETag(snap *Snapshot, r *http.Request) string {
 	q := r.URL.Query()
 	q.Del("version")
@@ -333,7 +342,7 @@ func etagMatches(ifNoneMatch, etag string) bool {
 // matching If-None-Match is answered 304 with no body (done=true, with
 // every validation error already written).
 func (s *Server) condGET(w http.ResponseWriter, r *http.Request) (*Snapshot, bool) {
-	version, apiErr := versionParam(r)
+	version, apiErr := VersionParam(r)
 	if apiErr != nil {
 		WriteAPIError(w, apiErr)
 		return nil, true
@@ -679,8 +688,8 @@ func (s *Server) evalQuery(ctx context.Context, snap *Snapshot, typ provquery.Qu
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidRequest, "bad request body: %v", err)
+	if apiErr := DecodeJSON(w, r, &req); apiErr != nil {
+		WriteAPIError(w, apiErr)
 		return
 	}
 	snap, apiErr := s.snapshotAt(req.Version)
@@ -734,8 +743,8 @@ const MaxBatchQueries = 1024
 
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidRequest, "bad request body: %v", err)
+	if apiErr := DecodeJSON(w, r, &req); apiErr != nil {
+		WriteAPIError(w, apiErr)
 		return
 	}
 	if len(req.Queries) == 0 {

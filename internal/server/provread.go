@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"sort"
 
@@ -182,8 +181,8 @@ func (s *Snapshot) provReadOne(op ProvReadOp) ProvReadResult {
 // gateway resolves remote-shard walk steps with.
 func (s *Server) handleProvRead(w http.ResponseWriter, r *http.Request) {
 	var req ProvReadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidRequest, "bad request body: %v", err)
+	if apiErr := DecodeJSON(w, r, &req); apiErr != nil {
+		WriteAPIError(w, apiErr)
 		return
 	}
 	if len(req.Reads) == 0 {

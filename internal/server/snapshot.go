@@ -27,7 +27,7 @@
 //
 // A bounded ring of recent snapshots supports version pinning, and a
 // logstore history of per-node captures supports time-travel reads
-// (GET /state/{node}?t=...).
+// (GET /v1/state/{node}?t=...).
 package server
 
 import (

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 
 	"repro/internal/engine"
@@ -85,7 +86,7 @@ func NewPublisherWithOptions(eng *engine.Engine, opts PublisherOptions) (*Publis
 	if opts.Store != nil {
 		// Version records address nodes by owned index, so the store's
 		// identity must match this shard's exactly.
-		if !sameStrings(opts.Store.Owned(), p.owned) {
+		if !slices.Equal(opts.Store.Owned(), p.owned) {
 			return nil, fmt.Errorf("server: snapshot store owns %d nodes, shard %s owns %d (different deployment?)",
 				len(opts.Store.Owned()), shard, len(p.owned))
 		}
@@ -107,18 +108,6 @@ func NewPublisherWithOptions(eng *engine.Engine, opts PublisherOptions) (*Publis
 		eng.SetEpochObserver(func() { p.Publish() })
 	}
 	return p, nil
-}
-
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Store returns the attached snapshot store (nil without one). The

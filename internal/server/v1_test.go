@@ -32,57 +32,44 @@ func decodeEnvelope(t *testing.T, body []byte) (code, msg string) {
 	return e.Error.Code, e.Error.Message
 }
 
-// TestV1AndLegacyBodiesByteIdentical: every legacy route is a thin
-// alias of its /v1/ twin — same handler, byte-identical success body —
-// and announces its deprecation in headers.
-func TestV1AndLegacyBodiesByteIdentical(t *testing.T) {
+// TestPreV1PathsAreGone: /v1 is the only surface. The unversioned
+// paths the server once mounted as deprecated aliases, and /version,
+// are unknown endpoints like any other unmatched path.
+func TestPreV1PathsAreGone(t *testing.T) {
 	e := buildGrid(t, 2)
-	pub, ts := newServer(t, e, 0)
-	v := pub.Current().Version
+	_, ts := newServer(t, e, 0)
 
-	queryBody := fmt.Sprintf(`{"q":"lineage of mincost(@'n1','n4',2)","version":%d}`, v)
 	cases := []struct {
-		name, method, path, body string
+		name, method, path string
 	}{
-		{"healthz", "GET", "/healthz", ""},
-		{"nodes", "GET", fmt.Sprintf("/nodes?version=%d", v), ""},
-		{"state", "GET", fmt.Sprintf("/state/n1?rel=mincost&version=%d", v), ""},
-		{"query", "POST", "/query", queryBody},
-		{"proof.dot", "GET", fmt.Sprintf("/proof.dot?tuple=mincost(@'n1','n4',2)&version=%d", v), ""},
-	}
-	do := func(method, url, body string) (*http.Response, []byte) {
-		t.Helper()
-		if method == "POST" {
-			return postFull(t, url, body)
-		}
-		return getFull(t, url)
+		{"healthz", "GET", "/healthz"},
+		{"nodes", "GET", "/nodes"},
+		{"state", "GET", "/state/n1"},
+		{"query", "POST", "/query"},
+		{"proof.dot", "GET", "/proof.dot?tuple=mincost(@'n1','n4',2)"},
+		{"version", "GET", "/version"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			legacyResp, legacyBody := do(tc.method, ts.URL+tc.path, tc.body)
-			v1Resp, v1Body := do(tc.method, ts.URL+"/v1"+tc.path, tc.body)
-			if legacyResp.StatusCode != http.StatusOK || v1Resp.StatusCode != http.StatusOK {
-				t.Fatalf("status legacy=%d v1=%d (%s)", legacyResp.StatusCode, v1Resp.StatusCode, legacyBody)
+			var resp *http.Response
+			var body []byte
+			if tc.method == "POST" {
+				resp, body = postFull(t, ts.URL+tc.path, `{"q":"lineage of mincost(@'n1','n4',2)"}`)
+			} else {
+				resp, body = getFull(t, ts.URL+tc.path)
 			}
-			if !bytes.Equal(legacyBody, v1Body) {
-				t.Fatalf("legacy and v1 bodies diverged:\n%s\nvs\n%s", legacyBody, v1Body)
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("%s %s = %d, want 404 (%s)", tc.method, tc.path, resp.StatusCode, body)
 			}
-			if dep := legacyResp.Header.Get("Deprecation"); dep != "true" {
-				t.Fatalf("legacy Deprecation header = %q, want true", dep)
-			}
-			if link := legacyResp.Header.Get("Link"); !strings.Contains(link, "/v1/") ||
-				!strings.Contains(link, "successor-version") {
-				t.Fatalf("legacy Link header = %q", link)
-			}
-			if dep := v1Resp.Header.Get("Deprecation"); dep != "" {
-				t.Fatalf("v1 route marked deprecated: %q", dep)
+			if code, _ := decodeEnvelope(t, body); code != ErrUnknownEndpoint {
+				t.Fatalf("%s %s code = %q, want %q", tc.method, tc.path, code, ErrUnknownEndpoint)
 			}
 		})
 	}
 }
 
 // TestVersionEndpoint: GET /v1/version reports the build metadata of
-// the running binary, and there is deliberately no legacy alias.
+// the running binary.
 func TestVersionEndpoint(t *testing.T) {
 	e := buildGrid(t, 2)
 	_, ts := newServer(t, e, 0)
@@ -98,15 +85,12 @@ func TestVersionEndpoint(t *testing.T) {
 	if info.Module != "repro" || !strings.HasPrefix(info.GoVersion, "go") {
 		t.Fatalf("version info = %+v", info)
 	}
-	if code, _ := get(t, ts.URL+"/version"); code != http.StatusNotFound {
-		t.Fatalf("legacy /version must not exist, got %d", code)
-	}
 }
 
 // TestETagConditionalGET: snapshot-determined GET responses carry a
-// strong ETag; If-None-Match answers 304 with no body, legacy and v1
-// spellings of the same request share the tag, and a different
-// snapshot version mints a different one.
+// strong ETag; If-None-Match answers 304 with no body, pinned and
+// current spellings of the same request share the tag, and a different
+// parameter set mints a different one.
 func TestETagConditionalGET(t *testing.T) {
 	e := buildGrid(t, 2)
 	pub, ts := newServer(t, e, 0)
@@ -155,22 +139,92 @@ func TestETagConditionalGET(t *testing.T) {
 		}
 	}
 
-	// Legacy alias and the unpinned spelling share the v1 tag (same
-	// resolved version, same normalized request).
+	// The unpinned spelling shares the pinned tag (same resolved
+	// version, same normalized request).
 	pinned, _ := getFull(t, fmt.Sprintf("%s/v1/nodes?version=%d", ts.URL, v))
-	legacy, _ := getFull(t, fmt.Sprintf("%s/nodes?version=%d", ts.URL, v))
 	current, _ := getFull(t, ts.URL+"/v1/nodes")
-	if lt, vt := legacy.Header.Get("ETag"), pinned.Header.Get("ETag"); lt != vt {
-		t.Fatalf("legacy ETag %q != v1 ETag %q", lt, vt)
-	}
 	if ct, vt := current.Header.Get("ETag"), pinned.Header.Get("ETag"); ct != vt {
 		t.Fatalf("current-version ETag %q != pinned ETag %q for the same snapshot", ct, vt)
+	}
+	// The /v1 prefix stays out of the hash, so tags keep the values
+	// clients already hold.
+	if want := requestETag(pub.Current(), httptest.NewRequest("GET", "/nodes", nil)); pinned.Header.Get("ETag") != want {
+		t.Fatalf("ETag %q, want %q (hash of the unprefixed path)", pinned.Header.Get("ETag"), want)
 	}
 	// A different parameter set is a different resource.
 	other, _ := getFull(t, fmt.Sprintf("%s/v1/state/n1?rel=link&version=%d", ts.URL, v))
 	mc, _ := getFull(t, fmt.Sprintf("%s/v1/state/n1?rel=mincost&version=%d", ts.URL, v))
 	if other.Header.Get("ETag") == mc.Header.Get("ETag") {
 		t.Fatal("different rel filters share an ETag")
+	}
+}
+
+// bodyOfSize is a JSON object of exactly n bytes: one "q" string of
+// padding.
+func bodyOfSize(n int) string {
+	const prefix, suffix = `{"q":"`, `"}`
+	return prefix + strings.Repeat("x", n-len(prefix)-len(suffix)) + suffix
+}
+
+// TestRequestBodyLimit: every JSON-body endpoint reads at most
+// MaxRequestBytes. A body at the limit is decoded (and fails on its
+// content, 400); one byte over is the structured 413, before any
+// decoding work is spent on it.
+func TestRequestBodyLimit(t *testing.T) {
+	e := buildGrid(t, 2)
+	_, ts := newServer(t, e, 0)
+	for _, path := range []string{"/v1/query", "/v1/query/batch", "/v1/prov/read"} {
+		resp, body := postFull(t, ts.URL+path, bodyOfSize(MaxRequestBytes))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s at the limit: %d, want 400 (%.200s)", path, resp.StatusCode, body)
+		}
+		resp, body = postFull(t, ts.URL+path, bodyOfSize(MaxRequestBytes+1))
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s one byte over: %d, want 413 (%.200s)", path, resp.StatusCode, body)
+		}
+		if code, _ := decodeEnvelope(t, body); code != ErrRequestTooLarge {
+			t.Fatalf("%s one byte over: code %q, want %q", path, code, ErrRequestTooLarge)
+		}
+	}
+}
+
+// TestFullBatchesFitBodyLimit: the byte limit leaves room for a full
+// batch of either kind with generous item sizes, so the count limits
+// stay the ones a well-formed client runs into.
+func TestFullBatchesFitBodyLimit(t *testing.T) {
+	e := buildGrid(t, 2)
+	_, ts := newServer(t, e, 0)
+
+	// MaxBatchQueries queries of 3 KiB each. The padding makes every
+	// element an invalid_query item error, but the batch itself is
+	// accepted.
+	queries := make([]QueryRequest, MaxBatchQueries)
+	for i := range queries {
+		queries[i].Q = "lineage of " + strings.Repeat("x", 3<<10-len("lineage of "))
+	}
+	batch, err := json.Marshal(batchRequest{Queries: queries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postFull(t, ts.URL+"/v1/query/batch", string(batch))
+	var br batchResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &br) != nil || len(br.Results) != MaxBatchQueries {
+		t.Fatalf("full query batch (%d bytes): %d (%.200s)", len(batch), resp.StatusCode, body)
+	}
+
+	// MaxProvReads reads of 512 bytes each (a real read is under 100).
+	reads := make([]ProvReadOp, MaxProvReads)
+	for i := range reads {
+		reads[i] = ProvReadOp{Op: ProvReadVertex, Loc: "n1", ID: strings.Repeat("0", 512-len(`{"op":"vertex","loc":"n1","id":""},`))}
+	}
+	batch, err = json.Marshal(ProvReadRequest{Reads: reads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body = postFull(t, ts.URL+"/v1/prov/read", string(batch))
+	var pr ProvReadResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &pr) != nil || len(pr.Results) != MaxProvReads {
+		t.Fatalf("full read batch (%d bytes): %d (%.200s)", len(batch), resp.StatusCode, body)
 	}
 }
 
