@@ -16,14 +16,8 @@ import (
 
 	nettrails "repro"
 	"repro/internal/buildinfo"
+	"repro/internal/protocols"
 )
-
-var builtins = map[string]string{
-	"mincost":        nettrails.MinCost,
-	"pathvector":     nettrails.PathVector,
-	"dsr":            nettrails.DSR,
-	"distancevector": nettrails.DistanceVector,
-}
 
 func main() {
 	protocol := flag.String("protocol", "", "builtin protocol: mincost, pathvector, dsr, distancevector")
@@ -38,9 +32,9 @@ func main() {
 	var src string
 	switch {
 	case *protocol != "":
-		p, ok := builtins[*protocol]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "ndlogc: unknown protocol %q\n", *protocol)
+		p, err := protocols.Program(*protocol)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ndlogc: %v\n", err)
 			os.Exit(2)
 		}
 		src = p

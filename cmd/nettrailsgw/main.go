@@ -111,7 +111,7 @@ func main() {
 	fmt.Printf("nettrailsgw: listening on http://%s (protocol=%s shards=%d nodes=%d)\n",
 		ln.Addr(), protocol, g.Shards(), len(g.Nodes()))
 
-	httpSrv := &http.Server{Handler: g.Handler()}
+	httpSrv := server.NewHTTPServer(g.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

@@ -21,7 +21,6 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -30,13 +29,11 @@ import (
 	"sync/atomic"
 
 	"repro/client"
-	"repro/internal/buildinfo"
 	"repro/internal/provgraph"
 	"repro/internal/provquery"
 	"repro/internal/rel"
 	"repro/internal/server"
 	"repro/internal/simnet"
-	"repro/internal/viz"
 )
 
 // Gateway federates the /v1 query surface over one sharded
@@ -87,14 +84,12 @@ func New(ctx context.Context, urls []string, opts ...Option) (*Gateway, error) {
 
 	g.mux = http.NewServeMux()
 	server.Route(g.mux, "GET", "/v1/healthz", g.handleHealthz)
-	server.Route(g.mux, "GET", "/v1/version", g.handleVersion)
+	server.Route(g.mux, "GET", "/v1/version", server.HandleVersion)
 	server.Route(g.mux, "GET", "/v1/shards", g.handleShards)
 	server.Route(g.mux, "GET", "/v1/nodes", g.handleNodes)
 	server.Route(g.mux, "GET", "/v1/state/{node}", g.handleState)
 	server.Route(g.mux, "GET", "/v1/history/first", g.handleHistoryFirst)
-	server.Route(g.mux, "POST", "/v1/query", g.handleQuery)
-	server.Route(g.mux, "POST", "/v1/query/batch", g.handleQueryBatch)
-	server.Route(g.mux, "GET", "/v1/proof.dot", g.handleProofDOT)
+	server.MountQueries(g.mux, g.info, g.pin)
 	server.NotFound(g.mux)
 	return g, nil
 }
@@ -156,6 +151,19 @@ func (g *Gateway) forEachShard(f func(i int, c *client.Client) error) error {
 	return nil
 }
 
+// health reads every shard's current and oldest retained versions.
+func (g *Gateway) health(ctx context.Context) (versions, oldests []uint64, err error) {
+	versions, oldests = make([]uint64, len(g.clients)), make([]uint64, len(g.clients))
+	err = g.forEachShard(func(i int, c *client.Client) error {
+		h, err := c.Health(ctx)
+		if err == nil {
+			versions[i], oldests[i] = h.Version, h.Oldest
+		}
+		return err
+	})
+	return versions, oldests, err
+}
+
 // resolveVersion picks the snapshot version a request pins on every
 // shard: an explicit version is used as-is; version 0 resolves to the
 // minimum of the shards' current versions — the newest epoch every
@@ -164,15 +172,7 @@ func (g *Gateway) resolveVersion(ctx context.Context, version uint64) (v uint64,
 	if version > 0 {
 		return version, 0, nil
 	}
-	versions := make([]uint64, len(g.clients))
-	err := g.forEachShard(func(i int, c *client.Client) error {
-		h, err := c.Health(ctx)
-		if err != nil {
-			return err
-		}
-		versions[i] = h.Version
-		return nil
-	})
+	versions, _, err := g.health(ctx)
 	hops = len(g.clients)
 	if err != nil {
 		return 0, hops, downstreamError(err)
@@ -203,33 +203,55 @@ func (g *Gateway) timeOf(ctx context.Context, version uint64) (simnet.Time, int,
 
 // ---- query evaluation ---------------------------------------------------
 
-// evalResult is one federated traversal's outcome.
-type evalResult struct {
-	res  *provquery.Result
-	time simnet.Time
-	hit  bool
-	hops int
+// pin is the gateway's server.Pinner: the version every shard serves
+// (resolveVersion) and its virtual time (timeOf).
+func (g *Gateway) pin(ctx context.Context, version uint64) (server.Pinned, *server.APIError) {
+	v, hops, apiErr := g.resolveVersion(ctx, version)
+	if apiErr != nil {
+		return nil, apiErr
+	}
+	t, tHops, apiErr := g.timeOf(ctx, v)
+	if apiErr != nil {
+		return nil, apiErr
+	}
+	return &gwPin{g: g, version: v, time: t, hops: hops + tHops}, nil
 }
 
-// eval answers one query against the pinned version, through the
-// gateway's per-version result cache.
-func (g *Gateway) eval(ctx context.Context, version uint64, typ provquery.QueryType, at string, t rel.Tuple, opts provquery.Options) (evalResult, *server.APIError) {
-	opts = g.info.ClampOptions(opts)
-	timeUs, hops, apiErr := g.timeOf(ctx, version)
+// gwPin is one request's pinned version on the gateway. hops counts
+// every downstream request the request has spent so far.
+type gwPin struct {
+	g       *Gateway
+	version uint64
+	time    simnet.Time
+	hops    int
+}
+
+func (p *gwPin) Version() uint64   { return p.version }
+func (p *gwPin) Time() simnet.Time { return p.time }
+
+// Eval answers one query through the gateway's per-version result
+// cache, walking the federation on a miss.
+func (p *gwPin) Eval(ctx context.Context, typ provquery.QueryType, at string, t rel.Tuple, opts provquery.Options) (*provquery.Result, bool, *server.APIError) {
+	key := gwKey{version: p.version, at: at, vid: t.VID(), typ: typ, opts: opts}
+	if res, ok := p.g.cache.get(key); ok {
+		return res, true, nil
+	}
+	res, hops, apiErr := p.g.runWalk(ctx, p.version, typ, at, t, opts)
+	p.hops += hops
 	if apiErr != nil {
-		return evalResult{}, apiErr
+		return nil, false, apiErr
 	}
-	key := gwKey{version: version, at: at, vid: t.VID(), typ: typ, opts: opts}
-	if res, ok := g.cache.get(key); ok {
-		return evalResult{res: res, time: timeUs, hit: true, hops: hops}, nil
-	}
-	res, walkHops, apiErr := g.runWalk(ctx, version, typ, at, t, opts)
-	hops += walkHops
-	if apiErr != nil {
-		return evalResult{hops: hops}, apiErr
-	}
-	g.cache.put(key, res)
-	return evalResult{res: res, time: timeUs, hops: hops}, nil
+	p.g.cache.put(key, res)
+	return res, false, nil
+}
+
+// Headers reports the gateway cache's cumulative counters and the
+// request's downstream hops.
+func (p *gwPin) Headers(w http.ResponseWriter) {
+	hits, misses := p.g.cache.counters()
+	w.Header().Set("X-Cache-Hits", strconv.FormatInt(hits, 10))
+	w.Header().Set("X-Cache-Misses", strconv.FormatInt(misses, 10))
+	setHops(w, p.hops)
 }
 
 // runWalk executes the shared provgraph walk over the federated
@@ -346,17 +368,6 @@ func setHops(w http.ResponseWriter, hops int) {
 	w.Header().Set("X-Shard-Hops", strconv.Itoa(hops))
 }
 
-func (g *Gateway) setCacheHeaders(w http.ResponseWriter, hit bool) {
-	verdict := "MISS"
-	if hit {
-		verdict = "HIT"
-	}
-	hits, misses := g.cache.counters()
-	w.Header().Set("X-Cache", verdict)
-	w.Header().Set("X-Cache-Hits", strconv.FormatInt(hits, 10))
-	w.Header().Set("X-Cache-Misses", strconv.FormatInt(misses, 10))
-}
-
 type gwHealthzJSON struct {
 	OK       bool   `json:"ok"`
 	Gateway  bool   `json:"gateway"`
@@ -373,16 +384,7 @@ type gwHealthzJSON struct {
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	out := gwHealthzJSON{OK: true, Gateway: true, Protocol: g.info.Protocol,
 		Nodes: len(g.allNodes), Shards: g.total}
-	versions := make([]uint64, len(g.clients))
-	oldests := make([]uint64, len(g.clients))
-	err := g.forEachShard(func(i int, c *client.Client) error {
-		h, err := c.Health(r.Context())
-		if err != nil {
-			return err
-		}
-		versions[i], oldests[i] = h.Version, h.Oldest
-		return nil
-	})
+	versions, oldests, err := g.health(r.Context())
 	setHops(w, len(g.clients))
 	if err != nil {
 		server.WriteAPIError(w, downstreamError(err))
@@ -397,11 +399,6 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	server.WriteJSON(w, http.StatusOK, out)
-}
-
-// handleVersion reports the gateway binary's build metadata.
-func (g *Gateway) handleVersion(w http.ResponseWriter, r *http.Request) {
-	server.WriteJSON(w, http.StatusOK, buildinfo.Get())
 }
 
 type gwShardJSON struct {
@@ -445,6 +442,9 @@ func (g *Gateway) handleNodes(w http.ResponseWriter, r *http.Request) {
 		server.WriteAPIError(w, apiErr)
 		return
 	}
+	if server.NotModified(w, r, v) {
+		return
+	}
 	perShard := make([]*client.Nodes, len(g.clients))
 	err := g.forEachShard(func(i int, c *client.Client) error {
 		ns, err := c.Nodes(r.Context(), client.At(v))
@@ -465,15 +465,7 @@ func (g *Gateway) handleNodes(w http.ResponseWriter, r *http.Request) {
 	for _, ns := range perShard {
 		timeUs = ns.TimeUs
 		for _, n := range ns.Nodes {
-			byAddr[n.Addr] = server.NodeJSON{
-				Addr:        n.Addr,
-				Neighbors:   n.Neighbors,
-				Tuples:      n.Tuples,
-				ProvEntries: n.ProvEntries,
-				ExecEntries: n.ExecEntries,
-				SentMsgs:    n.SentMsgs,
-				SentBytes:   n.SentBytes,
-			}
+			byAddr[n.Addr] = server.NodeJSON(n)
 		}
 	}
 	out := server.NodesJSON{Version: v, Time: timeUs, Nodes: []server.NodeJSON{}}
@@ -504,6 +496,9 @@ func (g *Gateway) handleState(w http.ResponseWriter, r *http.Request) {
 		server.WriteAPIError(w, apiErr)
 		return
 	}
+	if server.NotModified(w, r, v) {
+		return
+	}
 	opts := []client.CallOption{client.At(v)}
 	if rel := r.URL.Query().Get("rel"); rel != "" {
 		opts = append(opts, client.Rel(rel))
@@ -528,7 +523,7 @@ func (g *Gateway) handleState(w http.ResponseWriter, r *http.Request) {
 	for name, ts := range st.Tables {
 		rows := make([]server.TupleJSON, len(ts))
 		for i, t := range ts {
-			rows[i] = server.TupleJSON{Rel: t.Rel, Vals: t.Vals, Text: t.Text}
+			rows[i] = server.TupleJSON(t)
 		}
 		out.Tables[name] = rows
 	}
@@ -541,14 +536,9 @@ func (g *Gateway) handleState(w http.ResponseWriter, r *http.Request) {
 // every shard's snapshot store mints the same dense version sequence,
 // so the owning shard's answer is the deployment's answer.
 func (g *Gateway) handleHistoryFirst(w http.ResponseWriter, r *http.Request) {
-	lit := r.URL.Query().Get("tuple")
-	if lit == "" {
-		server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidRequest, "missing ?tuple= literal")
-		return
-	}
-	_, at, err := server.ResolveTupleAt(lit, r.URL.Query().Get("at"))
-	if err != nil {
-		server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidQuery, "%v", err)
+	_, at, apiErr := server.TupleParam(r)
+	if apiErr != nil {
+		server.WriteAPIError(w, apiErr)
 		return
 	}
 	shard, ok := g.table[at]
@@ -556,198 +546,17 @@ func (g *Gateway) handleHistoryFirst(w http.ResponseWriter, r *http.Request) {
 		server.WriteErr(w, http.StatusNotFound, server.ErrUnknownNode, "unknown node %q", at)
 		return
 	}
-	hf, err := g.clients[shard].HistoryFirst(r.Context(), lit, at)
+	hf, err := g.clients[shard].HistoryFirst(r.Context(), r.URL.Query().Get("tuple"), at)
 	setHops(w, 1)
 	if err != nil {
 		server.WriteAPIError(w, downstreamError(err))
 		return
 	}
 	server.WriteJSON(w, http.StatusOK, server.HistoryFirstJSON{
-		Tuple:         server.TupleJSON{Rel: hf.Tuple.Rel, Vals: hf.Tuple.Vals, Text: hf.Tuple.Text},
+		Tuple:         server.TupleJSON(hf.Tuple),
 		Node:          hf.Node,
 		FirstVersion:  hf.FirstVersion,
 		TimeUs:        hf.TimeUs,
 		OldestVersion: hf.Oldest,
 	})
-}
-
-// handleQuery is POST /v1/query: the single-daemon request surface,
-// answered by federated traversal.
-func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req server.QueryRequest
-	if apiErr := server.DecodeJSON(w, r, &req); apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	typ, t, at, opts, apiErr := server.ResolveQueryRequest(&req)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	ctx, cancel, apiErr := server.RequestContext(r, g.info.Timeout)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	defer cancel()
-	v, hops, apiErr := g.resolveVersion(ctx, req.Version)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	ev, apiErr := g.eval(ctx, v, typ, at, t, opts)
-	if apiErr != nil {
-		setHops(w, hops+ev.hops)
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	g.setCacheHeaders(w, ev.hit)
-	setHops(w, hops+ev.hops)
-	server.WriteJSON(w, http.StatusOK, server.RenderQueryResponse(v, int64(ev.time), ev.res))
-}
-
-// gwBatchRequest mirrors the shard server's batch body.
-type gwBatchRequest struct {
-	Version uint64                `json:"version,omitempty"`
-	Queries []server.QueryRequest `json:"queries"`
-}
-
-type gwBatchResponse struct {
-	Version uint64            `json:"version"`
-	Time    int64             `json:"virtualTimeUs"`
-	Results []json.RawMessage `json:"results"`
-}
-
-// handleQueryBatch is POST /v1/query/batch with the shard server's
-// exact semantics: one pinned version for every element, per-element
-// errors in place, whole-batch failure on cancellation or timeout.
-func (g *Gateway) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
-	var req gwBatchRequest
-	if apiErr := server.DecodeJSON(w, r, &req); apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	if len(req.Queries) == 0 {
-		server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidRequest, "empty batch: need at least one query")
-		return
-	}
-	if len(req.Queries) > server.MaxBatchQueries {
-		server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidRequest,
-			"batch of %d queries exceeds the maximum %d", len(req.Queries), server.MaxBatchQueries)
-		return
-	}
-	for i := range req.Queries {
-		if req.Queries[i].Version != 0 {
-			server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidRequest,
-				"queries[%d] sets version; the batch-level version pins the snapshot for every query", i)
-			return
-		}
-	}
-	ctx, cancel, apiErr := server.RequestContext(r, g.info.Timeout)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	defer cancel()
-	v, hops, apiErr := g.resolveVersion(ctx, req.Version)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	timeUs, tHops, apiErr := g.timeOf(ctx, v)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	hops += tHops
-
-	results := make([]json.RawMessage, 0, len(req.Queries))
-	hits := 0
-	local := map[gwKey]json.RawMessage{}
-	for i := range req.Queries {
-		if err := ctx.Err(); err != nil {
-			ce, _ := server.CtxError(err)
-			server.WriteAPIError(w, ce)
-			return
-		}
-		typ, t, at, opts, itemErr := server.ResolveQueryRequest(&req.Queries[i])
-		if itemErr == nil {
-			key := gwKey{version: v, at: at, vid: t.VID(), typ: typ, opts: g.info.ClampOptions(opts)}
-			if cached, ok := local[key]; ok {
-				hits++
-				results = append(results, cached)
-				continue
-			}
-			ev, evalErr := g.eval(ctx, v, typ, at, t, opts)
-			hops += ev.hops
-			if evalErr == nil {
-				if ev.hit {
-					hits++
-				}
-				b, err := json.Marshal(server.RenderQueryResponse(v, int64(timeUs), ev.res))
-				if err != nil {
-					server.WriteErr(w, http.StatusInternalServerError, server.ErrInternal, "encode: %v", err)
-					return
-				}
-				local[key] = b
-				results = append(results, b)
-				continue
-			}
-			if evalErr.Code == server.ErrQueryCancelled || evalErr.Code == server.ErrQueryTimeout {
-				server.WriteAPIError(w, evalErr)
-				return
-			}
-			itemErr = evalErr
-		}
-		results = append(results, server.MarshalError(itemErr))
-	}
-
-	hitsTotal, missesTotal := g.cache.counters()
-	w.Header().Set("X-Batch-Cache-Hits", strconv.Itoa(hits))
-	w.Header().Set("X-Cache-Hits", strconv.FormatInt(hitsTotal, 10))
-	w.Header().Set("X-Cache-Misses", strconv.FormatInt(missesTotal, 10))
-	setHops(w, hops)
-	server.WriteJSON(w, http.StatusOK, gwBatchResponse{Version: v, Time: int64(timeUs), Results: results})
-}
-
-// handleProofDOT renders a federated lineage as Graphviz DOT, sharing
-// the query result cache with /v1/query.
-func (g *Gateway) handleProofDOT(w http.ResponseWriter, r *http.Request) {
-	lit := r.URL.Query().Get("tuple")
-	if lit == "" {
-		server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidRequest, "missing ?tuple= literal")
-		return
-	}
-	t, at, err := server.ResolveTupleAt(lit, r.URL.Query().Get("at"))
-	if err != nil {
-		server.WriteErr(w, http.StatusBadRequest, server.ErrInvalidQuery, "%v", err)
-		return
-	}
-	version, apiErr := server.VersionParam(r)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	ctx, cancel, apiErr := server.RequestContext(r, g.info.Timeout)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	defer cancel()
-	v, hops, apiErr := g.resolveVersion(ctx, version)
-	if apiErr != nil {
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	ev, apiErr := g.eval(ctx, v, provquery.Lineage, at, t, provquery.Options{})
-	if apiErr != nil {
-		setHops(w, hops+ev.hops)
-		server.WriteAPIError(w, apiErr)
-		return
-	}
-	g.setCacheHeaders(w, ev.hit)
-	setHops(w, hops+ev.hops)
-	w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
-	w.Header().Set("X-Snapshot-Version", strconv.FormatUint(v, 10))
-	fmt.Fprint(w, viz.ProofDOT(ev.res.Root))
 }

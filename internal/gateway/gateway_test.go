@@ -473,3 +473,77 @@ func TestDiscoverShardsAffinity(t *testing.T) {
 		t.Fatal("discovery with 2 of 3 shard URLs unexpectedly succeeded")
 	}
 }
+
+// TestShardedErrorParity: a bad request earns the gateway the same
+// status and body as a single daemon. Validation runs before the
+// version pin on both tiers, so a malformed request pinned to an
+// evicted version is a 400 everywhere; an evicted pin itself is the
+// shard's own 410, passed through under a "shard: " message prefix.
+func TestShardedErrorParity(t *testing.T) {
+	d := deployGrid(t, 3, 3, 0)
+	const good = "mincost(@'n1','n9',4)"
+	for _, tc := range []struct {
+		name, path, body string // an empty body means GET
+		status           int
+	}{
+		{"malformed-body", "/v1/query", `{"q":`, 400},
+		{"empty-object", "/v1/query", `{}`, 400},
+		{"bad-q", "/v1/query", `{"q":"lineage of"}`, 400},
+		{"negative-option", "/v1/query", `{"type":"lineage","tuple":"` + good + `","options":{"maxdepth":-1}}`, 400},
+		{"bad-timeout", "/v1/query?timeout=bogus", `{"q":"lineage of ` + good + `"}`, 400},
+		{"unknown-node", "/v1/query", `{"type":"lineage","tuple":"` + good + `","at":"ghost"}`, 404},
+		{"no-provenance", "/v1/query", `{"q":"lineage of mincost(@'n1','n9',99)"}`, 404},
+		{"evicted-version", "/v1/query", `{"q":"lineage of ` + good + `","version":999999}`, 410},
+		{"evicted-version-bad-q", "/v1/query", `{"version":999999,"q":"lineage of"}`, 400},
+		{"empty-batch", "/v1/query/batch", `{"queries":[]}`, 400},
+		{"per-item-version", "/v1/query/batch", `{"queries":[{"q":"lineage of ` + good + `","version":1}]}`, 400},
+		{"mixed-batch", "/v1/query/batch", `{"queries":[{"q":"lineage of ` + good + `"},{"q":"lineage of"},` +
+			`{"q":"count of mincost(@'n1','n9',99)"},{"type":"nodes","tuple":"` + good + `","at":"ghost"}]}`, 200},
+		{"dot-missing-tuple", "/v1/proof.dot", "", 400},
+		{"dot-bad-tuple", "/v1/proof.dot?tuple=garbage", "", 400},
+		{"dot-unknown-tuple", "/v1/proof.dot?tuple=mincost(@'n1','n9',99)", "", 404},
+		{"dot-evicted-bad-tuple", "/v1/proof.dot?version=999999&tuple=garbage", "", 400},
+	} {
+		call := func(base string) (*http.Response, []byte) {
+			if tc.body == "" {
+				return get(t, base+tc.path)
+			}
+			return post(t, base+tc.path, tc.body)
+		}
+		sResp, sBody := call(d.single.URL)
+		gResp, gBody := call(d.gw.URL)
+		if tc.status == http.StatusGone {
+			gBody = bytes.Replace(gBody, []byte(`"message": "shard: `), []byte(`"message": "`), 1)
+		}
+		if sResp.StatusCode != tc.status || gResp.StatusCode != tc.status || !bytes.Equal(sBody, gBody) {
+			t.Fatalf("%s: want %d and equal bodies\nsingle  %d %s\ngateway %d %s",
+				tc.name, tc.status, sResp.StatusCode, sBody, gResp.StatusCode, gBody)
+		}
+	}
+}
+
+// TestGatewayConditionalGET: the gateway hands out the daemon's ETags
+// for the snapshot-determined GETs and answers a matching
+// If-None-Match with a bodiless 304.
+func TestGatewayConditionalGET(t *testing.T) {
+	d := deployGrid(t, 3, 3, 0)
+	for _, path := range []string{"/v1/nodes", "/v1/state/n5?rel=mincost", "/v1/proof.dot?tuple=mincost(@'n1','n9',4)"} {
+		sResp, _ := get(t, d.single.URL+path)
+		gResp, _ := get(t, d.gw.URL+path)
+		etag := gResp.Header.Get("ETag")
+		if etag == "" || etag != sResp.Header.Get("ETag") {
+			t.Fatalf("%s: gateway ETag %q, daemon ETag %q", path, etag, sResp.Header.Get("ETag"))
+		}
+		req, _ := http.NewRequest("GET", d.gw.URL+path, nil)
+		req.Header.Set("If-None-Match", etag)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+			t.Fatalf("%s revalidation: %d %q, want a bodiless 304", path, resp.StatusCode, body)
+		}
+	}
+}

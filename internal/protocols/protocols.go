@@ -66,6 +66,21 @@ dv2 hop(@S,D,Z,C) :- link(@S,Z,C1), bestcost(@Z,D,C2), C := C1 + C2, C < 16.
 dv3 bestcost(@S,D,min<C>) :- hop(@S,D,Z,C).
 `
 
+// Program returns the source of the builtin protocol called name.
+func Program(name string) (string, error) {
+	switch name {
+	case "mincost":
+		return MinCost, nil
+	case "pathvector":
+		return PathVector, nil
+	case "dsr":
+		return DSR, nil
+	case "distancevector":
+		return DistanceVector, nil
+	}
+	return "", fmt.Errorf("unknown protocol %q", name)
+}
+
 // NodeName returns the canonical node name used by the generators.
 func NodeName(i int) string { return fmt.Sprintf("n%d", i) }
 
@@ -126,6 +141,30 @@ func GridTopology(rows, cols int, cost int64) []Edge {
 		}
 	}
 	return out
+}
+
+// Topology generates the named topology over about n nodes: line,
+// ring, star, grid or random (n/2 extra edges, costs up to 4, from
+// seed; cost is ignored). A grid rounds n up to the nearest square, so
+// the returned node count is the one to build the network with.
+func Topology(name string, n int, cost, seed int64) ([]Edge, int, error) {
+	switch name {
+	case "line":
+		return LineTopology(n, cost), n, nil
+	case "ring":
+		return RingTopology(n, cost), n, nil
+	case "star":
+		return StarTopology(n, cost), n, nil
+	case "grid":
+		side := 1
+		for side*side < n {
+			side++
+		}
+		return GridTopology(side, side, cost), side * side, nil
+	case "random":
+		return RandomTopology(n, n/2, 4, seed), n, nil
+	}
+	return nil, 0, fmt.Errorf("unknown topology %q", name)
 }
 
 // RandomTopology produces a connected random graph: a random spanning

@@ -279,3 +279,27 @@ func TestBuildErrors(t *testing.T) {
 		t.Fatal("edge to unknown node must error")
 	}
 }
+
+func TestProgramAndTopologyByName(t *testing.T) {
+	if prog, err := Program("dsr"); err != nil || prog != DSR {
+		t.Fatalf("Program(dsr) = %.20q, %v", prog, err)
+	}
+	if _, err := Program("ospf"); err == nil || err.Error() != `unknown protocol "ospf"` {
+		t.Fatalf("Program(ospf) error = %v", err)
+	}
+	if _, _, err := Topology("torus", 4, 1, 7); err == nil || err.Error() != `unknown topology "torus"` {
+		t.Fatalf("Topology(torus) error = %v", err)
+	}
+	for _, tc := range []struct {
+		name              string
+		n, wantN, wantLen int
+	}{
+		{"line", 5, 5, 4}, {"ring", 5, 5, 5}, {"star", 5, 5, 4}, {"random", 6, 6, 8},
+		{"grid", 9, 9, 12}, {"grid", 10, 16, 24}, {"grid", 1, 1, 0}, // grids round up to a square
+	} {
+		if edges, n, err := Topology(tc.name, tc.n, 1, 7); err != nil || n != tc.wantN || len(edges) != tc.wantLen {
+			t.Fatalf("Topology(%s, %d) = %d edges over %d nodes, %v; want %d over %d",
+				tc.name, tc.n, len(edges), n, err, tc.wantLen, tc.wantN)
+		}
+	}
+}

@@ -119,9 +119,9 @@ func WriteErr(w http.ResponseWriter, status int, code, format string, args ...in
 	WriteAPIError(w, Errf(status, code, format, args...))
 }
 
-// MarshalError renders an APIError as a compact JSON envelope — the
+// marshalError renders an APIError as a compact JSON envelope — the
 // per-item error form inside a batch response.
-func MarshalError(e *APIError) json.RawMessage {
+func marshalError(e *APIError) json.RawMessage {
 	b, _ := json.Marshal(errorEnvelope{Error: errorBody{Code: e.Code, Message: e.Message}})
 	return b
 }

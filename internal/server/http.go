@@ -60,10 +60,8 @@ func New(pub *Publisher, info Info) *Server {
 	Route(s.mux, "GET", "/v1/healthz", s.handleHealthz)
 	Route(s.mux, "GET", "/v1/nodes", s.handleNodes)
 	Route(s.mux, "GET", "/v1/state/{node}", s.handleState)
-	Route(s.mux, "POST", "/v1/query", s.handleQuery)
-	Route(s.mux, "GET", "/v1/proof.dot", s.handleProofDOT)
-	Route(s.mux, "GET", "/v1/version", s.handleVersion)
-	Route(s.mux, "POST", "/v1/query/batch", s.handleQueryBatch)
+	Route(s.mux, "GET", "/v1/version", HandleVersion)
+	MountQueries(s.mux, info, s.pin)
 	Route(s.mux, "GET", "/v1/shards", s.handleShards)
 	Route(s.mux, "POST", "/v1/prov/read", s.handleProvRead)
 	Route(s.mux, "GET", "/v1/history/first", s.handleHistoryFirst)
@@ -92,16 +90,16 @@ func NotFound(mux *http.ServeMux) {
 }
 
 // MaxRequestBytes bounds every JSON request body. It leaves room for a
-// full batch — MaxBatchQueries queries of 3 KiB each, or MaxProvReads
+// full batch — maxBatchQueries queries of 3 KiB each, or MaxProvReads
 // reads of 512 bytes each, where real ones are about 100 bytes — so the
 // count limits, not the byte limit, are what a well-formed batch runs
 // into.
 const MaxRequestBytes = 4 << 20
 
-// DecodeJSON decodes a request body of at most MaxRequestBytes into v.
+// decodeJSON decodes a request body of at most MaxRequestBytes into v.
 // A larger body is the structured 413 request_too_large; any other
 // decode failure is a 400 invalid_request.
-func DecodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) *APIError {
+func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) *APIError {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
 	var tooLarge *http.MaxBytesError
 	switch {
@@ -115,10 +113,10 @@ func DecodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) *APIError
 	}
 }
 
-// ClampOptions applies the Info's traversal caps to a request's
+// clampOptions applies the Info's traversal caps to a request's
 // options: absent or looser request limits are clamped down to the
 // caps, tighter ones win.
-func (i Info) ClampOptions(o provquery.Options) provquery.Options {
+func (i Info) clampOptions(o provquery.Options) provquery.Options {
 	if i.MaxDepth > 0 && (o.MaxDepth == 0 || o.MaxDepth > i.MaxDepth) {
 		o.MaxDepth = i.MaxDepth
 	}
@@ -126,11 +124,6 @@ func (i Info) ClampOptions(o provquery.Options) provquery.Options {
 		o.MaxNodes = i.MaxNodes
 	}
 	return o
-}
-
-// clampOpts applies the server's traversal caps to a request's options.
-func (s *Server) clampOpts(o provquery.Options) provquery.Options {
-	return s.info.ClampOptions(o)
 }
 
 // maxOptionValue bounds request-supplied traversal options. Values
@@ -160,12 +153,10 @@ func validateOptions(o provquery.Options) *APIError {
 	return nil
 }
 
-// RequestContext derives the traversal context for one request: the
+// requestContext derives the traversal context for one request: the
 // client's own context (so a disconnect cancels the walk) bounded by
 // the ?timeout= deadline or the serverDefault, whichever is tighter.
-// Shared by the shard server and the gateway so timeout semantics
-// cannot drift between tiers.
-func RequestContext(r *http.Request, serverDefault time.Duration) (context.Context, context.CancelFunc, *APIError) {
+func requestContext(r *http.Request, serverDefault time.Duration) (context.Context, context.CancelFunc, *APIError) {
 	d := serverDefault
 	if raw := r.URL.Query().Get("timeout"); raw != "" {
 		td, err := time.ParseDuration(raw)
@@ -184,16 +175,35 @@ func RequestContext(r *http.Request, serverDefault time.Duration) (context.Conte
 	return r.Context(), func() {}, nil
 }
 
-// queryContext is RequestContext under this server's -timeout default.
-func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelFunc, *APIError) {
-	return RequestContext(r, s.info.Timeout)
-}
-
 // Handler returns the root handler for http.Serve.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+
+// The connection bounds of every daemon's listener. There is no write
+// timeout: Info.Timeout already bounds each query, and a write
+// deadline would cut a long answer off mid-body.
+const (
+	// readHeaderTimeout drops a client that has not sent its full
+	// request headers in time (a slowloris client).
+	readHeaderTimeout = 5 * time.Second
+	// idleTimeout closes a keep-alive connection left without a request.
+	idleTimeout = 2 * time.Minute
+	// maxHeaderBytes bounds one request's header block.
+	maxHeaderBytes = 64 << 10
+)
+
+// NewHTTPServer is the http.Server nettrailsd and nettrailsgw serve h
+// with: bounded header reads, idle connections and header size.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
 
 // ---- JSON shapes -------------------------------------------------------
 
@@ -285,6 +295,36 @@ func (s *Server) snapshotAt(version uint64) (*Snapshot, *APIError) {
 	return snap, nil
 }
 
+// pin is the shard server's Pinner: one retained snapshot.
+func (s *Server) pin(_ context.Context, version uint64) (Pinned, *APIError) {
+	snap, apiErr := s.snapshotAt(version)
+	if apiErr != nil {
+		return nil, apiErr
+	}
+	return snapPin{snap}, nil
+}
+
+// snapPin answers queries from one snapshot through its per-version
+// sub-proof cache.
+type snapPin struct{ snap *Snapshot }
+
+func (p snapPin) Version() uint64   { return p.snap.Version }
+func (p snapPin) Time() simnet.Time { return p.snap.Time }
+
+func (p snapPin) Eval(ctx context.Context, typ provquery.QueryType, at string, t rel.Tuple, opts provquery.Options) (*provquery.Result, bool, *APIError) {
+	res, hit, err := p.snap.CachedQueryContext(ctx, typ, at, t, opts)
+	if err != nil {
+		return nil, false, QueryError(err)
+	}
+	return res, hit, nil
+}
+
+func (p snapPin) Headers(w http.ResponseWriter) {
+	hits, misses := p.snap.CacheCounters()
+	w.Header().Set("X-Cache-Hits", strconv.FormatInt(hits, 10))
+	w.Header().Set("X-Cache-Misses", strconv.FormatInt(misses, 10))
+}
+
 // VersionParam reads the optional ?version= pin of a GET request; 0
 // means current.
 func VersionParam(r *http.Request) (uint64, *APIError) {
@@ -309,7 +349,7 @@ func VersionParam(r *http.Request) (uint64, *APIError) {
 // version, so pinned and current spellings of the same snapshot
 // validate against the same tag. The /v1 prefix is stripped before
 // hashing, so tags keep the values clients already hold.
-func requestETag(snap *Snapshot, r *http.Request) string {
+func requestETag(version uint64, r *http.Request) string {
 	q := r.URL.Query()
 	q.Del("version")
 	// The timeout bounds evaluation wall-clock, never the body: two
@@ -319,12 +359,12 @@ func requestETag(snap *Snapshot, r *http.Request) string {
 	_, _ = io.WriteString(h, strings.TrimPrefix(r.URL.Path, "/v1"))
 	_, _ = io.WriteString(h, "?")
 	_, _ = io.WriteString(h, q.Encode()) // Encode sorts keys: canonical
-	return fmt.Sprintf(`"%d-%016x"`, snap.Version, h.Sum64())
+	return fmt.Sprintf(`"%d-%016x"`, version, h.Sum64())
 }
 
 // etagMatches compares If-None-Match candidates against the computed
 // tag. The "*" form is deliberately not honored: it matches only when
-// a current representation exists (RFC 9110), and condGET runs before
+// a current representation exists (RFC 9110), and NotModified runs before
 // node/tuple existence checks — answering 304 for a resource whose
 // unconditional GET is a 404 would pin stale caches forever. Declining
 // "*" merely costs the full body.
@@ -337,10 +377,9 @@ func etagMatches(ifNoneMatch, etag string) bool {
 	return false
 }
 
-// condGET resolves a GET request's pinned snapshot and runs the
-// conditional-GET machinery: the response's ETag is always set, and a
-// matching If-None-Match is answered 304 with no body (done=true, with
-// every validation error already written).
+// condGET resolves a GET request's pinned snapshot and runs
+// NotModified on it (done=true, with every validation error or the 304
+// already written).
 func (s *Server) condGET(w http.ResponseWriter, r *http.Request) (*Snapshot, bool) {
 	version, apiErr := VersionParam(r)
 	if apiErr != nil {
@@ -352,13 +391,25 @@ func (s *Server) condGET(w http.ResponseWriter, r *http.Request) (*Snapshot, boo
 		WriteAPIError(w, apiErr)
 		return nil, true
 	}
-	etag := requestETag(snap, r)
-	w.Header().Set("ETag", etag)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
-		w.WriteHeader(http.StatusNotModified)
+	if NotModified(w, r, snap.Version) {
 		return nil, true
 	}
 	return snap, false
+}
+
+// NotModified is the conditional-GET check of a snapshot-determined
+// GET response pinned to version: it always sets the response's ETag,
+// and answers a matching If-None-Match with a bodiless 304 (reporting
+// true). The shard server and the gateway share it, so both tiers hand
+// out the same tags.
+func NotModified(w http.ResponseWriter, r *http.Request, version uint64) bool {
+	etag := requestETag(version, r)
+	w.Header().Set("ETag", etag)
+	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
+		w.WriteHeader(http.StatusNotModified)
+		return true
+	}
+	return false
 }
 
 // ---- endpoints ---------------------------------------------------------
@@ -405,10 +456,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, out)
 }
 
-// handleVersion reports the server binary's build metadata
-// (debug.ReadBuildInfo): module path/version, Go toolchain, and build
-// settings.
-func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
+// HandleVersion is GET /v1/version on every tier: the serving binary's
+// build metadata (debug.ReadBuildInfo) — module path/version, Go
+// toolchain, and build settings.
+func HandleVersion(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, buildinfo.Get())
 }
 
@@ -555,21 +606,23 @@ type QueryResponse struct {
 	Stats     QueryStatsJSON `json:"stats"`
 }
 
-// setCacheHeaders reports a CachedQuery outcome on the response.
-func setCacheHeaders(w http.ResponseWriter, snap *Snapshot, hit bool) {
-	verdict := "MISS"
-	if hit {
-		verdict = "HIT"
+// TupleParam reads a GET request's ?tuple= literal and the node to
+// query it at (?at=, else the tuple's location attribute).
+func TupleParam(r *http.Request) (rel.Tuple, string, *APIError) {
+	lit := r.URL.Query().Get("tuple")
+	if lit == "" {
+		return rel.Tuple{}, "", Errf(http.StatusBadRequest, ErrInvalidRequest, "missing ?tuple= literal")
 	}
-	hits, misses := snap.CacheCounters()
-	w.Header().Set("X-Cache", verdict)
-	w.Header().Set("X-Cache-Hits", strconv.FormatInt(hits, 10))
-	w.Header().Set("X-Cache-Misses", strconv.FormatInt(misses, 10))
+	t, at, err := resolveTupleAt(lit, r.URL.Query().Get("at"))
+	if err != nil {
+		return rel.Tuple{}, "", Errf(http.StatusBadRequest, ErrInvalidQuery, "%v", err)
+	}
+	return t, at, nil
 }
 
-// ResolveTupleAt parses a tuple literal and resolves the node to query
+// resolveTupleAt parses a tuple literal and resolves the node to query
 // at: the explicit at argument, else the tuple's location attribute.
-func ResolveTupleAt(lit, at string) (rel.Tuple, string, error) {
+func resolveTupleAt(lit, at string) (rel.Tuple, string, error) {
 	t, err := provquery.ParseTupleLiteral(lit)
 	if err != nil {
 		return rel.Tuple{}, "", err
@@ -584,12 +637,11 @@ func ResolveTupleAt(lit, at string) (rel.Tuple, string, error) {
 	return t, at, nil
 }
 
-// ResolveQueryRequest turns one query request body into walk inputs:
-// both
-// request forms reduce to (type, tuple, at, opts) before any
+// resolveQueryRequest turns one query request body into walk inputs:
+// both request forms reduce to (type, tuple, at, opts) before any
 // evaluation, so every malformed query is a 400 and only missing
 // provenance is a 404.
-func ResolveQueryRequest(req *QueryRequest) (typ provquery.QueryType, t rel.Tuple, at string, opts provquery.Options, apiErr *APIError) {
+func resolveQueryRequest(req *QueryRequest) (typ provquery.QueryType, t rel.Tuple, at string, opts provquery.Options, apiErr *APIError) {
 	switch {
 	case req.Q != "":
 		parsed, err := provquery.ParseQuery(req.Q)
@@ -603,7 +655,7 @@ func ResolveQueryRequest(req *QueryRequest) (typ provquery.QueryType, t rel.Tupl
 		if err != nil {
 			return 0, rel.Tuple{}, "", opts, Errf(http.StatusBadRequest, ErrInvalidQuery, "%v", err)
 		}
-		t, at, err = ResolveTupleAt(req.Tuple, req.At)
+		t, at, err = resolveTupleAt(req.Tuple, req.At)
 		if err != nil {
 			return 0, rel.Tuple{}, "", opts, Errf(http.StatusBadRequest, ErrInvalidQuery, "%v", err)
 		}
@@ -643,14 +695,14 @@ func QueryError(err error) *APIError {
 	return Errf(http.StatusNotFound, ErrNoProvenance, "%v", err)
 }
 
-// RenderQueryResponse renders a finished traversal as the
-// version-determined /v1/query response document. The shard server
-// and the gateway share this renderer, which is what makes federated
-// answers byte-identical to single-process ones.
-func RenderQueryResponse(version uint64, timeUs int64, res *provquery.Result) *QueryResponse {
+// renderQueryResponse renders a finished traversal as the
+// version-determined /v1/query response document. Every tier renders
+// through it, which is what makes federated answers byte-identical to
+// single-process ones.
+func renderQueryResponse(p Pinned, res *provquery.Result) *QueryResponse {
 	out := &QueryResponse{
-		Version:   version,
-		Time:      timeUs,
+		Version:   p.Version(),
+		Time:      int64(p.Time()),
 		Type:      res.Type.String(),
 		Pruned:    res.Pruned,
 		Truncated: res.Truncated,
@@ -675,46 +727,88 @@ func RenderQueryResponse(version uint64, timeUs int64, res *provquery.Result) *Q
 	return out
 }
 
-// evalQuery runs one resolved query against snap (through the
-// per-version sub-proof cache) and renders the version-determined
-// response.
-func (s *Server) evalQuery(ctx context.Context, snap *Snapshot, typ provquery.QueryType, at string, t rel.Tuple, opts provquery.Options) (*QueryResponse, bool, *APIError) {
-	res, hit, err := snap.CachedQueryContext(ctx, typ, at, t, s.clampOpts(opts))
-	if err != nil {
-		return nil, false, QueryError(err)
-	}
-	return RenderQueryResponse(snap.Version, int64(snap.Time), res), hit, nil
+// ---- the query front ---------------------------------------------------
+
+// Pinner pins the snapshot version one query request reads (0 means
+// the backend's current version). The front calls it only once the
+// request has passed validation, so a malformed request never costs a
+// pin — or, on a gateway, a downstream hop.
+type Pinner func(ctx context.Context, version uint64) (Pinned, *APIError)
+
+// Pinned is one request's view of one immutable snapshot version: the
+// whole backend the query front needs. The shard server's wraps a
+// *Snapshot; the gateway's runs the federated walk.
+type Pinned interface {
+	// Version and Time identify the pinned snapshot.
+	Version() uint64
+	Time() simnet.Time
+	// Eval answers one resolved query with already-clamped options;
+	// hit reports whether a result cache served it.
+	Eval(ctx context.Context, typ provquery.QueryType, at string, t rel.Tuple, opts provquery.Options) (res *provquery.Result, hit bool, apiErr *APIError)
+	// Headers writes the backend's cumulative observability headers
+	// (X-Cache-Hits/X-Cache-Misses, and X-Shard-Hops on a gateway).
+	Headers(w http.ResponseWriter)
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+// queryFront serves the query endpoints over any Pinned backend.
+type queryFront struct {
+	info Info
+	pin  Pinner
+}
+
+// MountQueries mounts POST /v1/query, POST /v1/query/batch and
+// GET /v1/proof.dot on mux, answered through pin under info's
+// traversal caps and default timeout. The shard server and the gateway
+// both serve their query endpoints from it, so validation order, error
+// codes and rendering cannot drift between tiers.
+func MountQueries(mux *http.ServeMux, info Info, pin Pinner) {
+	f := &queryFront{info: info, pin: pin}
+	Route(mux, "POST", "/v1/query", writesErr(f.handleQuery))
+	Route(mux, "POST", "/v1/query/batch", writesErr(f.handleQueryBatch))
+	Route(mux, "GET", "/v1/proof.dot", writesErr(f.handleProofDOT))
+}
+
+// writesErr adapts a front handler, which returns the error to answer
+// with instead of writing it. An error raised after the pin is
+// returned only once the backend's headers are set, so a gateway
+// reports the hops a failure cost.
+func writesErr(h func(http.ResponseWriter, *http.Request) *APIError) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if apiErr := h(w, r); apiErr != nil {
+			WriteAPIError(w, apiErr)
+		}
+	}
+}
+
+// cacheVerdict is the X-Cache header of one evaluation.
+var cacheVerdict = map[bool]string{true: "HIT", false: "MISS"}
+
+func (f *queryFront) handleQuery(w http.ResponseWriter, r *http.Request) *APIError {
 	var req QueryRequest
-	if apiErr := DecodeJSON(w, r, &req); apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
+	if apiErr := decodeJSON(w, r, &req); apiErr != nil {
+		return apiErr
 	}
-	snap, apiErr := s.snapshotAt(req.Version)
+	typ, t, at, opts, apiErr := resolveQueryRequest(&req)
 	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
+		return apiErr
 	}
-	typ, t, at, opts, apiErr := ResolveQueryRequest(&req)
+	ctx, cancel, apiErr := requestContext(r, f.info.Timeout)
 	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
-	}
-	ctx, cancel, apiErr := s.queryContext(r)
-	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
+		return apiErr
 	}
 	defer cancel()
-	out, hit, apiErr := s.evalQuery(ctx, snap, typ, at, t, opts)
+	p, apiErr := f.pin(ctx, req.Version)
 	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
+		return apiErr
 	}
-	setCacheHeaders(w, snap, hit)
-	WriteJSON(w, http.StatusOK, out)
+	res, hit, apiErr := p.Eval(ctx, typ, at, t, f.info.clampOptions(opts))
+	p.Headers(w)
+	if apiErr != nil {
+		return apiErr
+	}
+	w.Header().Set("X-Cache", cacheVerdict[hit])
+	WriteJSON(w, http.StatusOK, renderQueryResponse(p, res))
+	return nil
 }
 
 // ---- POST /v1/query/batch ----------------------------------------------
@@ -738,130 +832,118 @@ type batchResponse struct {
 	Results []json.RawMessage `json:"results"`
 }
 
-// MaxBatchQueries bounds one batch request.
-const MaxBatchQueries = 1024
+// maxBatchQueries bounds one batch request.
+const maxBatchQueries = 1024
 
-func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
+func (f *queryFront) handleQueryBatch(w http.ResponseWriter, r *http.Request) *APIError {
 	var req batchRequest
-	if apiErr := DecodeJSON(w, r, &req); apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
+	if apiErr := decodeJSON(w, r, &req); apiErr != nil {
+		return apiErr
 	}
 	if len(req.Queries) == 0 {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidRequest, "empty batch: need at least one query")
-		return
+		return Errf(http.StatusBadRequest, ErrInvalidRequest, "empty batch: need at least one query")
 	}
-	if len(req.Queries) > MaxBatchQueries {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidRequest,
-			"batch of %d queries exceeds the maximum %d", len(req.Queries), MaxBatchQueries)
-		return
+	if len(req.Queries) > maxBatchQueries {
+		return Errf(http.StatusBadRequest, ErrInvalidRequest,
+			"batch of %d queries exceeds the maximum %d", len(req.Queries), maxBatchQueries)
 	}
 	for i := range req.Queries {
 		if req.Queries[i].Version != 0 {
-			WriteErr(w, http.StatusBadRequest, ErrInvalidRequest,
+			return Errf(http.StatusBadRequest, ErrInvalidRequest,
 				"queries[%d] sets version; the batch-level version pins the snapshot for every query", i)
-			return
 		}
 	}
-	snap, apiErr := s.snapshotAt(req.Version)
+	ctx, cancel, apiErr := requestContext(r, f.info.Timeout)
 	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
-	}
-	ctx, cancel, apiErr := s.queryContext(r)
-	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
+		return apiErr
 	}
 	defer cancel()
+	p, apiErr := f.pin(ctx, req.Version)
+	if apiErr != nil {
+		return apiErr
+	}
 
 	results := make([]json.RawMessage, 0, len(req.Queries))
 	hits := 0
-	// local is the batch's own result overlay. The snapshot's query
-	// cache is bounded (it declines new keys once full), so the
-	// batch's documented guarantee — repeated queries inside one batch
-	// never re-traverse — must not depend on it having room.
+	// local is the batch's own result overlay. The backend's result
+	// cache is bounded (it declines new keys once full), so the batch's
+	// documented guarantee — repeated queries inside one batch never
+	// re-traverse — must not depend on it having room.
 	local := map[queryCacheKey]json.RawMessage{}
 	for i := range req.Queries {
 		// A dead client or an expired deadline aborts the whole batch
 		// with a structured error — never a partial results array.
-		if err := ctx.Err(); err != nil {
-			ce, _ := CtxError(err)
-			WriteAPIError(w, ce)
-			return
+		if ce, ok := CtxError(ctx.Err()); ok {
+			p.Headers(w)
+			return ce
 		}
-		typ, t, at, opts, itemErr := ResolveQueryRequest(&req.Queries[i])
+		typ, t, at, opts, itemErr := resolveQueryRequest(&req.Queries[i])
 		if itemErr == nil {
-			key := queryCacheKey{at: at, vid: t.VID(), typ: typ, opts: s.clampOpts(opts)}
+			opts = f.info.clampOptions(opts)
+			key := queryCacheKey{at: at, vid: t.VID(), typ: typ, opts: opts}
 			if cached, ok := local[key]; ok {
 				hits++
 				results = append(results, cached)
 				continue
 			}
-			out, hit, evalErr := s.evalQuery(ctx, snap, typ, at, t, opts)
+			res, hit, evalErr := p.Eval(ctx, typ, at, t, opts)
 			if evalErr == nil {
 				if hit {
 					hits++
 				}
-				b, err := json.Marshal(out)
-				if err != nil {
-					WriteErr(w, http.StatusInternalServerError, ErrInternal, "encode: %v", err)
-					return
-				}
+				// A QueryResponse holds only strings, ints, bools and
+				// slices of them: marshaling it cannot fail.
+				b, _ := json.Marshal(renderQueryResponse(p, res))
 				local[key] = b
 				results = append(results, b)
 				continue
 			}
 			if evalErr.Code == ErrQueryCancelled || evalErr.Code == ErrQueryTimeout {
-				WriteAPIError(w, evalErr)
-				return
+				p.Headers(w)
+				return evalErr
 			}
 			itemErr = evalErr
 		}
-		results = append(results, MarshalError(itemErr))
+		results = append(results, marshalError(itemErr))
 	}
 
-	hitsTotal, missesTotal := snap.CacheCounters()
 	w.Header().Set("X-Batch-Cache-Hits", strconv.Itoa(hits))
-	w.Header().Set("X-Cache-Hits", strconv.FormatInt(hitsTotal, 10))
-	w.Header().Set("X-Cache-Misses", strconv.FormatInt(missesTotal, 10))
-	WriteJSON(w, http.StatusOK, batchResponse{
-		Version: snap.Version,
-		Time:    int64(snap.Time),
-		Results: results,
-	})
+	p.Headers(w)
+	WriteJSON(w, http.StatusOK, batchResponse{Version: p.Version(), Time: int64(p.Time()), Results: results})
+	return nil
 }
 
 // handleProofDOT renders the lineage of ?tuple= (optionally ?at=,
 // ?version=) as a Graphviz DOT document.
-func (s *Server) handleProofDOT(w http.ResponseWriter, r *http.Request) {
-	snap, done := s.condGET(w, r)
-	if done {
-		return
-	}
-	lit := r.URL.Query().Get("tuple")
-	if lit == "" {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidRequest, "missing ?tuple= literal")
-		return
-	}
-	t, at, err := ResolveTupleAt(lit, r.URL.Query().Get("at"))
-	if err != nil {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidQuery, "%v", err)
-		return
-	}
-	ctx, cancel, apiErr := s.queryContext(r)
+func (f *queryFront) handleProofDOT(w http.ResponseWriter, r *http.Request) *APIError {
+	t, at, apiErr := TupleParam(r)
 	if apiErr != nil {
-		WriteAPIError(w, apiErr)
-		return
+		return apiErr
+	}
+	version, apiErr := VersionParam(r)
+	if apiErr != nil {
+		return apiErr
+	}
+	ctx, cancel, apiErr := requestContext(r, f.info.Timeout)
+	if apiErr != nil {
+		return apiErr
 	}
 	defer cancel()
-	res, hit, err := snap.CachedQueryContext(ctx, provquery.Lineage, at, t, s.clampOpts(provquery.Options{}))
-	if err != nil {
-		WriteAPIError(w, QueryError(err))
-		return
+	p, apiErr := f.pin(ctx, version)
+	if apiErr != nil {
+		return apiErr
 	}
-	setCacheHeaders(w, snap, hit)
+	if NotModified(w, r, p.Version()) {
+		return nil
+	}
+	res, hit, apiErr := p.Eval(ctx, provquery.Lineage, at, t, f.info.clampOptions(provquery.Options{}))
+	p.Headers(w)
+	if apiErr != nil {
+		return apiErr
+	}
+	w.Header().Set("X-Cache", cacheVerdict[hit])
 	w.Header().Set("Content-Type", "text/vnd.graphviz; charset=utf-8")
-	w.Header().Set("X-Snapshot-Version", strconv.FormatUint(snap.Version, 10))
+	w.Header().Set("X-Snapshot-Version", strconv.FormatUint(p.Version(), 10))
 	fmt.Fprint(w, viz.ProofDOT(res.Root))
+	return nil
 }

@@ -181,7 +181,7 @@ func (s *Snapshot) provReadOne(op ProvReadOp) ProvReadResult {
 // gateway resolves remote-shard walk steps with.
 func (s *Server) handleProvRead(w http.ResponseWriter, r *http.Request) {
 	var req ProvReadRequest
-	if apiErr := DecodeJSON(w, r, &req); apiErr != nil {
+	if apiErr := decodeJSON(w, r, &req); apiErr != nil {
 		WriteAPIError(w, apiErr)
 		return
 	}

@@ -109,8 +109,8 @@ func TestClampOptionsTable(t *testing.T) {
 		{"threshold-untouched", Info{MaxDepth: 4}, provquery.Options{Threshold: 7}, provquery.Options{Threshold: 7, MaxDepth: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.info.ClampOptions(tc.in); got != tc.want {
-				t.Fatalf("ClampOptions(%+v) = %+v, want %+v", tc.in, got, tc.want)
+			if got := tc.info.clampOptions(tc.in); got != tc.want {
+				t.Fatalf("clampOptions(%+v) = %+v, want %+v", tc.in, got, tc.want)
 			}
 		})
 	}

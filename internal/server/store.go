@@ -268,14 +268,9 @@ type HistoryFirstJSON struct {
 // so there is no version pinning and no ETag — the answer can extend
 // further back than the in-memory ring.
 func (s *Server) handleHistoryFirst(w http.ResponseWriter, r *http.Request) {
-	lit := r.URL.Query().Get("tuple")
-	if lit == "" {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidRequest, "missing ?tuple= literal")
-		return
-	}
-	t, at, err := ResolveTupleAt(lit, r.URL.Query().Get("at"))
-	if err != nil {
-		WriteErr(w, http.StatusBadRequest, ErrInvalidQuery, "%v", err)
+	t, at, apiErr := TupleParam(r)
+	if apiErr != nil {
+		WriteAPIError(w, apiErr)
 		return
 	}
 	snap := s.pub.Current()

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -148,7 +150,7 @@ func TestETagConditionalGET(t *testing.T) {
 	}
 	// The /v1 prefix stays out of the hash, so tags keep the values
 	// clients already hold.
-	if want := requestETag(pub.Current(), httptest.NewRequest("GET", "/nodes", nil)); pinned.Header.Get("ETag") != want {
+	if want := requestETag(pub.Current().Version, httptest.NewRequest("GET", "/nodes", nil)); pinned.Header.Get("ETag") != want {
 		t.Fatalf("ETag %q, want %q (hash of the unprefixed path)", pinned.Header.Get("ETag"), want)
 	}
 	// A different parameter set is a different resource.
@@ -195,10 +197,10 @@ func TestFullBatchesFitBodyLimit(t *testing.T) {
 	e := buildGrid(t, 2)
 	_, ts := newServer(t, e, 0)
 
-	// MaxBatchQueries queries of 3 KiB each. The padding makes every
+	// maxBatchQueries queries of 3 KiB each. The padding makes every
 	// element an invalid_query item error, but the batch itself is
 	// accepted.
-	queries := make([]QueryRequest, MaxBatchQueries)
+	queries := make([]QueryRequest, maxBatchQueries)
 	for i := range queries {
 		queries[i].Q = "lineage of " + strings.Repeat("x", 3<<10-len("lineage of "))
 	}
@@ -208,7 +210,7 @@ func TestFullBatchesFitBodyLimit(t *testing.T) {
 	}
 	resp, body := postFull(t, ts.URL+"/v1/query/batch", string(batch))
 	var br batchResponse
-	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &br) != nil || len(br.Results) != MaxBatchQueries {
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &br) != nil || len(br.Results) != maxBatchQueries {
 		t.Fatalf("full query batch (%d bytes): %d (%.200s)", len(batch), resp.StatusCode, body)
 	}
 
@@ -698,4 +700,28 @@ func TestEvictionRacingPinnedReaders(t *testing.T) {
 		t.Fatal("no pinned query ever succeeded")
 	}
 	t.Logf("served=%d evicted=%d", served, evicted)
+}
+
+// TestHTTPServerDropsStalledHeaders: a client that sends half a
+// request line and stalls is disconnected once readHeaderTimeout
+// expires, instead of holding its connection open forever.
+func TestHTTPServerDropsStalledHeaders(t *testing.T) {
+	t.Parallel()
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = NewHTTPServer(http.NotFoundHandler())
+	ts.Start()
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	_, _ = io.WriteString(conn, "GET /v1/healthz HT")
+	_ = conn.SetReadDeadline(start.Add(readHeaderTimeout + 3*time.Second))
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); (ok && ne.Timeout()) || time.Since(start) < readHeaderTimeout/2 {
+		t.Fatalf("stalled client dropped after %s (%v), want after about readHeaderTimeout %s",
+			time.Since(start), err, readHeaderTimeout)
+	}
 }
